@@ -277,8 +277,8 @@ impl SearchRequest {
 /// An engine's answer to a [`SearchRequest`].
 ///
 /// This is also the single home of the repository's latency/QPS accounting:
-/// every division guard lives here, and the legacy [`SearchOutcome`] name is
-/// an alias of this type, so engines and harnesses share one implementation.
+/// every division guard lives here, so engines and harnesses share one
+/// implementation.
 #[derive(Debug, Clone)]
 pub struct SearchResponse {
     /// The id of the request this response answers.
@@ -292,10 +292,6 @@ pub struct SearchResponse {
     /// Work counters collected during the functional execution.
     pub stats: WorkloadStats,
 }
-
-/// Legacy name of [`SearchResponse`], kept so positional `search_batch` call
-/// sites read naturally.
-pub type SearchOutcome = SearchResponse;
 
 impl SearchResponse {
     /// An empty response (no queries, zero time).
@@ -476,7 +472,7 @@ pub trait AnnEngine {
     /// [`SearchRequest`] directly when queries need distinct options. The
     /// shim clones `queries` into the owned request — one memcpy, dwarfed by
     /// the functional search it precedes.
-    fn search_batch(&mut self, queries: &Dataset, nprobe: usize, k: usize) -> SearchOutcome {
+    fn search_batch(&mut self, queries: &Dataset, nprobe: usize, k: usize) -> SearchResponse {
         self.execute(&SearchRequest::uniform(queries, nprobe, k))
     }
 
@@ -513,6 +509,41 @@ pub trait AnnEngine {
     /// without host-level elasticity.
     fn live_hosts(&self) -> Option<usize> {
         None
+    }
+}
+
+/// A boxed engine is an engine: every method forwards to the box's contents,
+/// so harnesses can hold any engine as `Box<dyn AnnEngine + Send>`. Each
+/// method must forward explicitly — a missed one would silently fall back
+/// to the trait default (`false`/`None`) and drop the engine's live-index or
+/// elasticity support.
+impl<E: AnnEngine + ?Sized> AnnEngine for Box<E> {
+    fn name(&self) -> &str {
+        (**self).name()
+    }
+
+    fn execute(&mut self, request: &SearchRequest) -> SearchResponse {
+        (**self).execute(request)
+    }
+
+    fn search_batch(&mut self, queries: &Dataset, nprobe: usize, k: usize) -> SearchResponse {
+        (**self).search_batch(queries, nprobe, k)
+    }
+
+    fn energy_model(&self) -> EnergyModel {
+        (**self).energy_model()
+    }
+
+    fn install_timeline(&mut self, timeline: annkit::mutation::SnapshotTimeline) -> bool {
+        (**self).install_timeline(timeline)
+    }
+
+    fn scale_to(&mut self, hosts: usize, now: f64) -> Option<f64> {
+        (**self).scale_to(hosts, now)
+    }
+
+    fn live_hosts(&self) -> Option<usize> {
+        (**self).live_hosts()
     }
 }
 

@@ -34,7 +34,7 @@ pub mod workload_stats;
 pub mod prelude {
     pub use crate::cpu::{CpuFaissEngine, CpuSpec};
     pub use crate::engine::{
-        AnnEngine, QueryOptions, SearchOutcome, SearchRequest, SearchResponse,
+        AnnEngine, QueryOptions, SearchRequest, SearchResponse,
     };
     pub use crate::gpu::{GpuFaissEngine, GpuSpec};
     pub use crate::hardware::{HardwareSpec, hardware_table};
@@ -42,5 +42,5 @@ pub mod prelude {
 }
 
 pub use cpu::CpuFaissEngine;
-pub use engine::{AnnEngine, QueryOptions, SearchOutcome, SearchRequest, SearchResponse};
+pub use engine::{AnnEngine, QueryOptions, SearchRequest, SearchResponse};
 pub use gpu::GpuFaissEngine;

@@ -15,100 +15,46 @@
 //!
 //! # Runtimes
 //!
-//! `--runtime replay` (the default) is the discrete-event replay described
-//! below — single-threaded, simulated clock, byte-reproducible.
+//! - `--runtime replay` (the default): a single-threaded discrete-event
+//!   replay on a simulated clock. It is fully deterministic, so the
+//!   default-flag `--json` output is the committed `BENCH_serving.json`
+//!   regression baseline: rerun and diff.
+//! - `--runtime threaded`: the real multi-threaded pipeline
+//!   ([`upanns_runtime::pipeline`]) on the wall clock, one row per
+//!   `--workers` count and `--sweep-qps` rate plus the multi-tenant,
+//!   failover and live rows per worker count, at `--work-scale` (smaller
+//!   than the replay's billion-scale projection, so a sweep finishes in
+//!   minutes). The numbers are machine-dependent; CI checks the record's
+//!   schema and conservation invariants, not the numbers.
+//! - `--runtime twin`: the same pipeline in logical-trace mode. Arrival
+//!   timestamps drive the batcher exactly as the replay clock would, and
+//!   nothing sleeps. `--answers PATH` writes the answer map (one
+//!   `workload TAB index TAB id,...` line per query) from the replay or
+//!   the twin, and CI diffs the two byte for byte.
 //!
-//! `--runtime threaded` runs the **real multi-threaded pipeline**
-//! ([`upanns_runtime::pipeline`]) against the wall clock: for every worker
-//! count in `--workers` and every offered rate in `--sweep-qps` it serves a
-//! fresh stream on a PIM-backed engine (each worker emulating one modeled
-//! device's occupancy in real time) and reports *measured* wall-clock
-//! sustained QPS and latency percentiles, plus one multi-tenant row per
-//! worker count. `--work-scale` sets the threaded engines' modeled work
-//! scale (smaller than the replay's billion-scale projection so one bench
-//! run finishes in minutes; the scaling *shape* is what the sweep records).
-//! The wall-clock numbers are machine-dependent — CI checks the report's
-//! schema and conservation invariants, not the numbers.
+//! # Scenarios
 //!
-//! `--runtime twin` runs the same pipeline in logical-trace mode: the
-//! stream's arrival timestamps drive the batcher exactly as the replay
-//! clock would, nothing sleeps, nothing is shed. Its answer map is
-//! **byte-identical** to the replay's — `--answers PATH` writes the map
-//! (one `workload TAB index TAB id,...` line per query, single-tenant
-//! stream then the multi-tenant scenario) and exits; CI diffs the twin's
-//! file against the replay's.
+//! Beside the single-tenant rows, the replay serves a **multi-tenant**
+//! head-of-line scenario whenever `upanns` is selected: a tight-SLO tenant
+//! next to a bulk tenant whose batches outlast the tight tenant's slack,
+//! which only priority-chunked dispatch (`--max-chunk`) serves within both
+//! SLOs. Whenever `multihost` is selected it serves the **kill-a-host
+//! failover** scenario (`--replicas`, `--fault`, `--hedge-ms`), whose row
+//! carries the fault counters and a [`RecoveryEnvelope`] CI asserts on.
+//! Whenever `upanns` is selected and `--mutations` is not `none` it serves
+//! the **live-mutation** rows: an epoch-stamped [`SnapshotTimeline`] with
+//! background compaction per [`CompactionPolicy`], audited by
+//! [`LiveSummary`] (`stale_served` must be 0). [`scenarios`] gives each
+//! row's stream, policy and engine.
 //!
-//! Besides the single-tenant sweep, the binary replays a **multi-tenant
-//! scenario** on the UpANNS engine (whenever `upanns` is among the selected
-//! engines): several tenants with their own Poisson rates, option mixes,
-//! weights and p99 SLOs share one serving front-end, under four policies —
-//! the fixed global window, one global [`SloController`] (which can only
-//! target the *tightest* SLO in the mix), the per-tenant [`ControllerBank`]
-//! with whole-batch close-order dispatch (window-level isolation only), and
-//! the same bank under **priority-chunked engine dispatch** (`--max-chunk`,
-//! the `adaptive-tenant-chunked` row): bulk batches hit the serial engine
-//! in size-capped chunks, earliest SLO deadline first, so the tight tenant
-//! waits at most one chunk instead of a whole bulk batch. The committed
-//! default is a tight-SLO low-rate tenant next to a loose-SLO bulk tenant
-//! whose batches are individually longer than the tight tenant's slack:
-//! chunked priority dispatch meets both SLOs where per-tenant windows alone
-//! (and every single-window policy) miss the tight tenant — head-of-line
-//! blocking is an engine-level problem the batching window cannot fix.
+//! # Structure
 //!
-//! `--tenants` replaces the built-in mix. The grammar is
-//! `NAME:key=val,...;NAME:...` with keys `qps` (required), `queries`,
-//! `slo-ms`, `weight`, `repeat` and `mix` (`KxN` pairs joined by `+`), e.g.
-//! `tight:qps=3,queries=240,slo-ms=2500,weight=2,mix=10x8;bulk:qps=30,mix=10x4+20x8`.
+//! [`scenarios`] builds one ordered list of [`Scenario`]s per run; rows
+//! appear in list order. [`Fixture::engine`] is the one engine factory,
+//! returning every engine boxed. Three runners consume the list:
+//! [`replay`] (replay rows), [`pipeline`] (threaded and twin rows) and
+//! [`answer_map`]. One ordered-object writer ([`Json`]) emits both records.
 //!
-//! The replay is fully deterministic (fixed seeds, simulated clock), so the
-//! `--json` output doubles as the committed `BENCH_serving.json` regression
-//! baseline: rerun with the default arguments and diff.
-//!
-//! The default offered load is deliberately *small* relative to the PIM
-//! engines' large-batch capacity: under the fixed low-latency batching window
-//! the per-(query,cluster) granules don't amortize and the PIM engines
-//! collapse, while the [`SloController`] widens the window until batches are
-//! large enough to keep up — without letting the observed p99 cross the SLO.
-//!
-//! # The kill-a-host failover scenario
-//!
-//! Whenever `multihost` is among the selected engines, the replay also runs
-//! the committed **failover scenario**: a replicated deployment
-//! ([`ReplicatedMultiHost`], `--replicas` copies of each shard) serves a
-//! dedicated single-tenant stream while the `--fault` schedule takes one
-//! host down mid-stream. Hedged retries (`--hedge-ms`) and an SLO-feedback
-//! [`Autoscaler`] (driven by the linear capacity model the
-//! `capacity_planning` example fits) absorb the outage; the report row
-//! carries the fault counters (`degraded`, `hedged`, `redispatched`,
-//! `scale_events`, `migration_s`) and a [`RecoveryEnvelope`] — baseline SLO
-//! attainment, the max dip after the failure instant, and the recovery time
-//! — which CI asserts stays inside the committed bounds. The threaded path
-//! adds one logical-mode failover row per worker count (same schedule, same
-//! conservation checks), and `--answers` adds a `failover` section to the
-//! twin byte-diff, proving the fault injection itself is deterministic.
-//!
-//! # The live-mutation scenario
-//!
-//! Whenever `upanns` is among the selected engines and `--mutations` is not
-//! `none`, the replay also serves the single-tenant stream against a **live
-//! index**: a deterministic per-tenant upsert/delete stream
-//! ([`MutationSpec`]) is folded into an epoch-stamped [`SnapshotTimeline`]
-//! (snapshot refresh every [`LIVE_REFRESH_S`] seconds, background compaction
-//! per [`CompactionPolicy`]), queries resolve the snapshot active at their
-//! *own arrival*, and the result cache invalidates entries stamped with an
-//! older epoch. The row's audit ([`LiveSummary`]) re-executes every answer
-//! at its arrival (`stale_served` must be 0 — CI asserts it), splits p99 by
-//! compaction-window membership, and buckets recall against the
-//! *exact up-to-the-second corpus* by mutation lag — the recall-vs-staleness
-//! curve. A second row (`live-growth`) replays the multi-tenant scenario
-//! while the bulk tenant's corpus grows mid-stream at
-//! [`LIVE_GROWTH_UPSERT_QPS`] upserts/s. The threaded path adds one
-//! logical-mode `live-mutation` row per worker count, and `--answers` adds a
-//! `live` section to the twin byte-diff, proving mutation visibility is
-//! deterministic across runtimes. `--mutations none` disables all of it and
-//! reproduces the frozen-index rows bytewise.
-//!
-//! [`MutationSpec`]: annkit::workload::MutationSpec
 //! [`SnapshotTimeline`]: annkit::mutation::SnapshotTimeline
 //! [`CompactionPolicy`]: upanns::compaction::CompactionPolicy
 
@@ -117,7 +63,6 @@
 use annkit::ivf::{IvfPqIndex, IvfPqParams};
 use annkit::mutation::MutableIvf;
 use annkit::synthetic::SyntheticSpec;
-use annkit::topk::Neighbor;
 use annkit::vector::Dataset;
 use annkit::workload::{
     MultiTenantSpec, MutationOp, MutationSpec, MutationStream, QueryStream, StreamSpec, TenantId,
@@ -130,15 +75,15 @@ use pim_sim::config::PimConfig;
 use upanns::builder::{BatchCapacity, UpAnnsBuilder};
 use upanns::compaction::{plan_live_index, CompactionPolicy, LiveIndexPlan};
 use upanns::config::UpAnnsConfig;
-use upanns::multihost::{shard_ranges, InterconnectModel, MultiHostUpAnns};
 use upanns::engine::UpAnnsEngine;
+use upanns::multihost::{shard_ranges, InterconnectModel, MultiHostUpAnns};
 use upanns::replica::{FaultSchedule, ReplicatedMultiHost};
 use upanns_runtime::{run_pipeline, RuntimeConfig, RuntimeReport};
 use upanns_serve::batcher::BatchFormerConfig;
 use upanns_serve::controller::{ControllerBank, SloController};
 use upanns_serve::{
-    Autoscaler, CapacityModel, FixedPolicy, RecoveryEnvelope, SearchService, ServiceConfig,
-    ServiceReport,
+    planned_options, Autoscaler, BatchPolicy, CapacityModel, FixedPolicy, RecoveryEnvelope,
+    SearchService, ServiceConfig, ServiceReport,
 };
 
 /// Fixed tiny-scale evaluation shape (kept stable so the JSON baseline is
@@ -152,6 +97,9 @@ const DPUS: usize = 896;
 /// billion-scale configuration (10^9 / 4096) that the `figures` experiments
 /// use — per-DPU granule times are then comparable to fig12's.
 const MODELED_N: f64 = 1.25e8;
+/// The replay's modeled work scale: the tiny fixture projected to
+/// [`MODELED_N`] vectors.
+const REPLAY_WORK_SCALE: f64 = MODELED_N / DATASET_N as f64;
 
 /// Every engine the binary knows how to build, in report order.
 const KNOWN_ENGINES: [&str; 5] = ["cpu", "gpu", "pim-naive", "upanns", "multihost"];
@@ -275,8 +223,8 @@ struct Args {
     max_chunk: usize,
     engines: Vec<String>,
     policies: Vec<Policy>,
-    tenants: String,
-    tenants_overridden: bool,
+    /// `--tenants`, or `None` for the runtime's built-in mix.
+    tenants: Option<String>,
     json: Option<String>,
     runtime: RuntimeKind,
     workers: Vec<usize>,
@@ -288,6 +236,13 @@ struct Args {
     fault: String,
     hedge_ms: f64,
     mutations: String,
+}
+
+impl Args {
+    /// Whether `--engines` selected the engine `name`.
+    fn selected(&self, name: &str) -> bool {
+        self.engines.iter().any(|e| e == name)
+    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -307,33 +262,6 @@ enum RuntimeKind {
     Twin,
 }
 
-impl Default for Args {
-    fn default() -> Self {
-        Self {
-            queries: 1_000,
-            qps: 12.0,
-            repeat: 0.25,
-            slo_ms: 6_000.0,
-            hosts: 2,
-            max_chunk: 32,
-            engines: KNOWN_ENGINES.iter().map(|s| s.to_string()).collect(),
-            policies: vec![Policy::Fixed, Policy::Adaptive],
-            tenants: DEFAULT_TENANTS.to_string(),
-            tenants_overridden: false,
-            json: None,
-            runtime: RuntimeKind::Replay,
-            workers: vec![1, 2, 4],
-            sweep_qps: vec![60.0, 120.0, 240.0, 480.0, 960.0],
-            work_scale: THREADED_WORK_SCALE,
-            queue: None,
-            answers: None,
-            replicas: DEFAULT_REPLICAS,
-            fault: DEFAULT_FAULT.to_string(),
-            hedge_ms: DEFAULT_HEDGE_MS,
-            mutations: DEFAULT_MUTATIONS.to_string(),
-        }
-    }
-}
 
 fn usage() -> ! {
     eprintln!(
@@ -386,28 +314,31 @@ fn reject(message: String) -> ! {
     std::process::exit(2);
 }
 
+/// [`reject`]s with `message` unless `ok`.
+fn ensure(ok: bool, message: impl std::fmt::Display) {
+    if !ok {
+        reject(message.to_string());
+    }
+}
+
 /// Parses the `--tenants` grammar (see [`usage`]) into a [`MultiTenantSpec`].
 /// Tenant ids are assigned by position (1-based).
 fn parse_tenants(spec: &str) -> MultiTenantSpec {
     let mut mix = MultiTenantSpec::new();
     for (index, entry) in spec.split(';').enumerate() {
         let entry = entry.trim();
-        if entry.is_empty() {
-            reject(format!("--tenants: empty tenant entry at position {index}"));
-        }
+        ensure(!entry.is_empty(), format!("--tenants: empty tenant entry at position {index}"));
         let (name, body) = entry
             .split_once(':')
             .unwrap_or_else(|| reject(format!("--tenants: '{entry}' has no NAME: prefix")));
         let name = name.trim();
         // Names are echoed verbatim into the JSON baseline, so keep them to
         // characters that need no escaping anywhere.
-        if name.is_empty()
-            || !name.chars().all(|c| c.is_ascii_alphanumeric() || c == '-' || c == '_')
-        {
-            reject(format!(
-                "--tenants: tenant name '{name}' must be non-empty [A-Za-z0-9_-]"
-            ));
-        }
+        ensure(
+            !name.is_empty()
+                && name.chars().all(|c| c.is_ascii_alphanumeric() || c == '-' || c == '_'),
+            format!("--tenants: tenant name '{name}' must be non-empty [A-Za-z0-9_-]"),
+        );
         let mut qps: Option<f64> = None;
         let mut queries = 600usize;
         let mut slo_ms: Option<f64> = None;
@@ -428,20 +359,13 @@ fn parse_tenants(spec: &str) -> MultiTenantSpec {
                 "weight" => weight = value.parse().unwrap_or_else(|_| bad(kv, "not an integer")),
                 "repeat" => repeat = value.parse().unwrap_or_else(|_| bad(kv, "not a number")),
                 "mix" => {
-                    option_mix = value
-                        .split('+')
-                        .map(|tier| {
-                            let (k, nprobe) = tier
-                                .split_once('x')
-                                .unwrap_or_else(|| bad(kv, "mix tiers are KxN"));
-                            (
-                                k.parse().unwrap_or_else(|_| bad(kv, "k not an integer")),
-                                nprobe
-                                    .parse()
-                                    .unwrap_or_else(|_| bad(kv, "nprobe not an integer")),
-                            )
-                        })
-                        .collect();
+                    let tier = |tier: &str| {
+                        let (k, nprobe) =
+                            tier.split_once('x').unwrap_or_else(|| bad(kv, "mix tiers are KxN"));
+                        let k = k.parse().unwrap_or_else(|_| bad(kv, "k not an integer"));
+                        (k, nprobe.parse().unwrap_or_else(|_| bad(kv, "nprobe not an integer")))
+                    };
+                    option_mix = value.split('+').map(tier).collect();
                 }
                 other => reject(format!(
                     "--tenants: unknown key '{other}' (known: qps, queries, slo-ms, weight, repeat, mix)"
@@ -450,26 +374,18 @@ fn parse_tenants(spec: &str) -> MultiTenantSpec {
         }
         let qps =
             qps.unwrap_or_else(|| reject(format!("--tenants: tenant '{name}' needs qps=")));
-        if !(qps > 0.0 && qps.is_finite()) {
-            reject(format!("--tenants: tenant '{name}': qps must be positive"));
-        }
-        if queries == 0 {
-            reject(format!("--tenants: tenant '{name}': queries must be at least 1"));
-        }
-        if weight == 0 {
-            reject(format!("--tenants: tenant '{name}': weight must be at least 1"));
-        }
-        if !(0.0..=1.0).contains(&repeat) {
-            reject(format!("--tenants: tenant '{name}': repeat must be in [0, 1]"));
-        }
-        if option_mix.iter().any(|&(k, nprobe)| k == 0 || nprobe == 0) {
-            reject(format!("--tenants: tenant '{name}': mix tiers need k and nprobe >= 1"));
-        }
+        let check = |ok: bool, what: &str| ensure(ok, format!("--tenants: tenant '{name}': {what}"));
+        check(qps > 0.0 && qps.is_finite(), "qps must be positive");
+        check(queries > 0, "queries must be at least 1");
+        check(weight > 0, "weight must be at least 1");
+        check((0.0..=1.0).contains(&repeat), "repeat must be in [0, 1]");
+        check(
+            option_mix.iter().all(|&(k, nprobe)| k > 0 && nprobe > 0),
+            "mix tiers need k and nprobe >= 1",
+        );
         let mut stream = StreamSpec::new(queries, qps).with_repeat_fraction(repeat);
         if let Some(ms) = slo_ms {
-            if !(ms > 0.0 && ms.is_finite()) {
-                reject(format!("--tenants: tenant '{name}': slo-ms must be positive"));
-            }
+            check(ms > 0.0 && ms.is_finite(), "slo-ms must be positive");
             stream = stream.with_slo_p99(ms / 1e3);
         }
         mix = mix.with_tenant(
@@ -515,12 +431,8 @@ fn parse_mutations(spec: &str) -> Option<LiveMutationArgs> {
             reject(format!("--mutations: {kv}: {what}"))
         }
         match key.trim() {
-            "upsert" => {
-                out.upsert_qps = value.parse().unwrap_or_else(|_| bad(kv, "not a number"));
-            }
-            "delete" => {
-                out.delete_qps = value.parse().unwrap_or_else(|_| bad(kv, "not a number"));
-            }
+            "upsert" => out.upsert_qps = value.parse().unwrap_or_else(|_| bad(kv, "not a number")),
+            "delete" => out.delete_qps = value.parse().unwrap_or_else(|_| bad(kv, "not a number")),
             "seed" => out.seed = value.parse().unwrap_or_else(|_| bad(kv, "not an integer")),
             other => reject(format!(
                 "--mutations: unknown key '{other}' (known: upsert, delete, seed)"
@@ -528,20 +440,53 @@ fn parse_mutations(spec: &str) -> Option<LiveMutationArgs> {
         }
     }
     for (name, rate) in [("upsert", out.upsert_qps), ("delete", out.delete_qps)] {
-        if !(rate >= 0.0 && rate.is_finite()) {
-            reject(format!("--mutations: {name} rate must be non-negative and finite"));
-        }
-    }
-    if out.upsert_qps == 0.0 && out.delete_qps == 0.0 {
-        reject(
-            "--mutations: at least one rate must be positive (use 'none' to disable)".to_string(),
+        ensure(
+            rate >= 0.0 && rate.is_finite(),
+            format!("--mutations: {name} rate must be non-negative and finite"),
         );
     }
+    ensure(
+        out.upsert_qps > 0.0 || out.delete_qps > 0.0,
+        "--mutations: at least one rate must be positive (use 'none' to disable)",
+    );
     Some(out)
 }
 
+/// Parses `flag`'s comma list, rejecting an entry that is not `what`.
+fn parse_list<T: std::str::FromStr>(flag: &str, value: &str, what: &str) -> Vec<T> {
+    value
+        .split(',')
+        .map(|s| {
+            s.trim()
+                .parse()
+                .unwrap_or_else(|_| reject(format!("{flag}: '{s}' is not {what}")))
+        })
+        .collect()
+}
+
 fn parse_args() -> Args {
-    let mut args = Args::default();
+    let mut args = Args {
+        queries: 1_000,
+        qps: 12.0,
+        repeat: 0.25,
+        slo_ms: 6_000.0,
+        hosts: 2,
+        max_chunk: 32,
+        engines: KNOWN_ENGINES.iter().map(|s| s.to_string()).collect(),
+        policies: vec![Policy::Fixed, Policy::Adaptive],
+        tenants: None,
+        json: None,
+        runtime: RuntimeKind::Replay,
+        workers: vec![1, 2, 4],
+        sweep_qps: vec![60.0, 120.0, 240.0, 480.0, 960.0],
+        work_scale: THREADED_WORK_SCALE,
+        queue: None,
+        answers: None,
+        replicas: DEFAULT_REPLICAS,
+        fault: DEFAULT_FAULT.to_string(),
+        hedge_ms: DEFAULT_HEDGE_MS,
+        mutations: DEFAULT_MUTATIONS.to_string(),
+    };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         let mut value = |name: &str| {
@@ -555,20 +500,19 @@ fn parse_args() -> Args {
             "--slo-ms" => args.slo_ms = value("--slo-ms").parse().expect("--slo-ms: number"),
             "--max-chunk" => {
                 args.max_chunk = value("--max-chunk").parse().expect("--max-chunk: integer");
-                if args.max_chunk == 0 {
-                    reject("--max-chunk must be at least 1".to_string());
-                }
+                ensure(args.max_chunk > 0, "--max-chunk must be at least 1");
             }
             "--hosts" => {
                 args.hosts = value("--hosts").parse().expect("--hosts: integer");
                 // Each host needs a meaningful share of the fixed tiny-scale
                 // fixture (DPUs, IVF lists, training vectors).
-                if !(1..=16).contains(&args.hosts) {
-                    reject(format!(
+                ensure(
+                    (1..=16).contains(&args.hosts),
+                    format!(
                         "--hosts {} out of range (the tiny-scale fixture supports 1..=16 hosts)",
                         args.hosts
-                    ));
-                }
+                    ),
+                );
             }
             "--engines" => {
                 args.engines = value("--engines")
@@ -576,16 +520,15 @@ fn parse_args() -> Args {
                     .map(|s| s.trim().to_string())
                     .filter(|s| !s.is_empty())
                     .collect();
-                if args.engines.is_empty() {
-                    reject("--engines: empty engine list".to_string());
-                }
+                ensure(!args.engines.is_empty(), "--engines: empty engine list");
                 for name in &args.engines {
-                    if !KNOWN_ENGINES.contains(&name.as_str()) {
-                        reject(format!(
+                    ensure(
+                        KNOWN_ENGINES.contains(&name.as_str()),
+                        format!(
                             "unknown engine '{name}' (known engines: {})",
                             KNOWN_ENGINES.join(", ")
-                        ));
-                    }
+                        ),
+                    );
                 }
             }
             "--policy" => {
@@ -599,10 +542,10 @@ fn parse_args() -> Args {
                 };
             }
             "--tenants" => {
-                args.tenants = value("--tenants");
-                args.tenants_overridden = true;
+                let spec = value("--tenants");
                 // Parse eagerly so a malformed spec exits 2 before any replay.
-                let _ = parse_tenants(&args.tenants);
+                let _ = parse_tenants(&spec);
+                args.tenants = Some(spec);
             }
             "--runtime" => {
                 args.runtime = match value("--runtime").as_str() {
@@ -615,62 +558,45 @@ fn parse_args() -> Args {
                 };
             }
             "--workers" => {
-                args.workers = value("--workers")
-                    .split(',')
-                    .map(|s| {
-                        s.trim()
-                            .parse()
-                            .unwrap_or_else(|_| reject(format!("--workers: '{s}' is not an integer")))
-                    })
-                    .collect();
-                if args.workers.is_empty()
-                    || args.workers.iter().any(|&w| w == 0 || w > 32)
-                {
-                    reject("--workers: need a comma list of counts in 1..=32".to_string());
-                }
+                args.workers = parse_list("--workers", &value("--workers"), "an integer");
+                ensure(
+                    !args.workers.is_empty() && args.workers.iter().all(|w| (1..=32).contains(w)),
+                    "--workers: need a comma list of counts in 1..=32",
+                );
             }
             "--sweep-qps" => {
-                args.sweep_qps = value("--sweep-qps")
-                    .split(',')
-                    .map(|s| {
-                        s.trim()
-                            .parse()
-                            .unwrap_or_else(|_| reject(format!("--sweep-qps: '{s}' is not a number")))
-                    })
-                    .collect();
-                if args.sweep_qps.is_empty()
-                    || args.sweep_qps.iter().any(|&q: &f64| !(q > 0.0 && q.is_finite()))
-                {
-                    reject("--sweep-qps: need a comma list of positive rates".to_string());
-                }
+                args.sweep_qps = parse_list("--sweep-qps", &value("--sweep-qps"), "a number");
+                ensure(
+                    !args.sweep_qps.is_empty()
+                        && args.sweep_qps.iter().all(|&q| q > 0.0 && q.is_finite()),
+                    "--sweep-qps: need a comma list of positive rates",
+                );
             }
             "--work-scale" => {
                 args.work_scale = value("--work-scale").parse().expect("--work-scale: number");
-                if !(args.work_scale >= 1.0 && args.work_scale.is_finite()) {
-                    reject("--work-scale must be at least 1".to_string());
-                }
+                ensure(
+                    args.work_scale >= 1.0 && args.work_scale.is_finite(),
+                    "--work-scale must be at least 1",
+                );
             }
             "--queue" => {
                 args.queue = Some(value("--queue").parse().expect("--queue: integer"));
-                if args.queue == Some(0) {
-                    reject("--queue must be at least 1".to_string());
-                }
+                ensure(args.queue != Some(0), "--queue must be at least 1");
             }
             "--answers" => args.answers = Some(value("--answers")),
             "--replicas" => {
                 args.replicas = value("--replicas")
                     .parse()
                     .unwrap_or_else(|_| reject("--replicas: not an integer".to_string()));
-                if args.replicas == 0 {
-                    reject("--replicas must be at least 1".to_string());
-                }
-                if args.replicas > FAILOVER_HOSTS {
-                    reject(format!(
+                ensure(args.replicas > 0, "--replicas must be at least 1");
+                ensure(
+                    args.replicas <= FAILOVER_HOSTS,
+                    format!(
                         "--replicas {} exceeds the failover deployment's {FAILOVER_HOSTS} hosts; \
                          refusing to co-locate replicas on one failure domain",
                         args.replicas
-                    ));
-                }
+                    ),
+                );
             }
             "--fault" => {
                 args.fault = value("--fault");
@@ -684,9 +610,10 @@ fn parse_args() -> Args {
                 args.hedge_ms = value("--hedge-ms")
                     .parse()
                     .unwrap_or_else(|_| reject("--hedge-ms: not a number".to_string()));
-                if !(args.hedge_ms > 0.0 && args.hedge_ms.is_finite()) {
-                    reject("--hedge-ms must be a positive number".to_string());
-                }
+                ensure(
+                    args.hedge_ms > 0.0 && args.hedge_ms.is_finite(),
+                    "--hedge-ms must be a positive number",
+                );
             }
             "--mutations" => {
                 args.mutations = value("--mutations");
@@ -711,195 +638,464 @@ fn options_of(index: usize) -> QueryOptions {
     }
 }
 
-fn json_num(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:.6}")
-    } else {
-        "0.0".to_string()
-    }
+/// Every engine the binary serves, behind one type: scenarios and runners
+/// never match on engine names, only [`Fixture::engine`] does.
+type Engine = Box<dyn AnnEngine + Send>;
+
+/// Factory name of the failover scenario's replicated deployment.
+const FAILOVER_ENGINE: &str = "replicated";
+
+/// What the binary produces this run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Mode {
+    /// Replay rows, their tables and `BENCH_serving.json`.
+    Report,
+    /// The answer map, from the replay or the twin (`--answers`, `--runtime twin`).
+    Answers,
+    /// The threaded sweep and its `upanns-runtime-bench-v3` record.
+    Threaded,
 }
 
-fn tenant_json(t: &upanns_serve::TenantReport) -> String {
-    format!(
-        concat!(
-            "        {{\n",
-            "          \"tenant\": \"{}\",\n",
-            "          \"weight\": {},\n",
-            "          \"slo_ms\": {},\n",
-            "          \"completed\": {},\n",
-            "          \"shed\": {},\n",
-            "          \"p50_ms\": {},\n",
-            "          \"p99_ms\": {},\n",
-            "          \"slo_miss_fraction\": {},\n",
-            "          \"meets_slo\": {},\n",
-            "          \"final_max_batch\": {},\n",
-            "          \"final_max_delay_ms\": {}\n",
-            "        }}"
-        ),
-        t.name,
-        t.weight,
-        t.slo_p99_s.map_or_else(|| "null".to_string(), |s| json_num(s * 1e3)),
-        t.completed,
-        t.shed,
-        json_num(t.p50() * 1e3),
-        json_num(t.p99() * 1e3),
-        json_num(t.slo_miss_fraction()),
-        t.meets_slo(),
-        t.final_batcher.max_batch,
-        json_num(t.final_batcher.max_delay_s * 1e3),
-    )
+/// A mutation stream and the live-index plan it folds into.
+struct LiveRun {
+    events: MutationStream,
+    plan: LiveIndexPlan,
 }
 
-/// The recovery envelope as a JSON object (`null` for rows without one —
-/// every workload except `failover`). `recovery_s` is `null` when attainment
-/// never recovered inside the observed timeline.
-fn envelope_json(env: Option<&RecoveryEnvelope>) -> String {
-    match env {
-        None => "null".to_string(),
-        Some(e) => format!(
-            "{{ \"bucket_s\": {}, \"t_down\": {}, \"baseline_attainment\": {}, \
-             \"max_dip\": {}, \"dip_at\": {}, \"recovery_s\": {}, \"recovered\": {} }}",
-            json_num(e.bucket_s),
-            json_num(e.t_down),
-            json_num(e.baseline_attainment),
-            json_num(e.max_dip),
-            json_num(e.dip_at),
-            if e.recovery_s.is_finite() {
-                json_num(e.recovery_s)
-            } else {
-                "null".to_string()
-            },
-            e.recovered,
-        ),
-    }
+/// Everything a run serves: the corpus and its indexes, every stream and
+/// live-index plan the scenario list points into, and the flags.
+struct Fixture<'a> {
+    args: &'a Args,
+    mode: Mode,
+    index: IvfPqIndex,
+    history: Dataset,
+    /// One index per `--hosts` host, for `multihost` (empty unless selected).
+    shard_indexes: Vec<IvfPqIndex>,
+    /// One index per [`FAILOVER_SHARDS`] shard, for the replicated deployment.
+    failover_indexes: Vec<IvfPqIndex>,
+    faults: FaultSchedule,
+    /// The single-tenant stream (`--queries` at `--qps`).
+    stream: QueryStream,
+    /// The threaded sweep's `(offered QPS, stream)` pairs.
+    sweep: Vec<(f64, QueryStream)>,
+    /// The tenant spec this run serves, its stream and its offered rate.
+    tenants: String,
+    tstream: QueryStream,
+    multi_offered: f64,
+    /// The failover scenario's own stream.
+    failover: QueryStream,
+    /// The single-tenant stream's live-index plan (`--mutations`).
+    live: Option<LiveRun>,
+    /// The live-growth plan: the last tenant's corpus grows mid-stream.
+    growth: Option<LiveRun>,
 }
 
-fn report_json(
-    r: &ServiceReport,
-    workload: &str,
-    env: Option<&RecoveryEnvelope>,
-    live: Option<&LiveSummary>,
-) -> String {
-    let tenants: Vec<String> = r.tenants.iter().map(tenant_json).collect();
-    format!(
-        concat!(
-            "    {{\n",
-            "      \"name\": \"{}\",\n",
-            "      \"workload\": \"{}\",\n",
-            "      \"policy\": \"{}\",\n",
-            "      \"sustained_qps\": {},\n",
-            "      \"p50_ms\": {},\n",
-            "      \"p99_ms\": {},\n",
-            "      \"mean_ms\": {},\n",
-            "      \"slo_miss_fraction\": {},\n",
-            "      \"meets_slo\": {},\n",
-            "      \"all_tenants_meet_slo\": {},\n",
-            "      \"completed\": {},\n",
-            "      \"shed\": {},\n",
-            "      \"cache_hit_rate\": {},\n",
-            "      \"cache_invalidated\": {},\n",
-            "      \"batches\": {},\n",
-            "      \"mean_batch_size\": {},\n",
-            "      \"dispatched_chunks\": {},\n",
-            "      \"mean_chunk_size\": {},\n",
-            "      \"final_max_batch\": {},\n",
-            "      \"final_max_delay_ms\": {},\n",
-            "      \"controller_adjustments\": {},\n",
-            "      \"engine_busy_s\": {},\n",
-            "      \"degraded\": {},\n",
-            "      \"hedged\": {},\n",
-            "      \"redispatched\": {},\n",
-            "      \"scale_events\": {},\n",
-            "      \"migration_s\": {},\n",
-            "      \"envelope\": {},\n",
-            "      \"live\": {},\n",
-            "      \"tenants\": [\n{}\n      ]\n",
-            "    }}"
-        ),
-        r.engine,
-        workload,
-        r.policy,
-        json_num(r.sustained_qps()),
-        json_num(r.p50() * 1e3),
-        json_num(r.p99() * 1e3),
-        json_num(r.mean_latency() * 1e3),
-        json_num(r.slo_miss_fraction()),
-        r.meets_slo(),
-        r.all_tenants_meet_slo(),
-        r.completed,
-        r.shed,
-        json_num(r.cache_hit_rate()),
-        r.cache_invalidated,
-        r.batches(),
-        json_num(r.mean_batch_size()),
-        r.dispatched_chunks,
-        json_num(r.mean_chunk_size()),
-        r.final_batcher.max_batch,
-        json_num(r.final_batcher.max_delay_s * 1e3),
-        r.controller_adjustments,
-        json_num(r.engine_busy_s),
-        r.degraded,
-        r.hedged,
-        r.redispatched,
-        r.scale_events,
-        json_num(r.migration_s),
-        envelope_json(env),
-        live_json(live),
-        tenants.join(",\n"),
-    )
-}
+impl<'a> Fixture<'a> {
+    fn build(args: &'a Args, mode: Mode) -> Self {
+        let dataset = SyntheticSpec::sift_like(DATASET_N).with_clusters(16).with_seed(7);
+        let dataset = dataset.generate_with_meta();
+        let params = IvfPqParams::new(NLIST, PQ_M).with_train_size(2_400);
+        let index = IvfPqIndex::train(&dataset.vectors, &params, 5);
+        let history = WorkloadSpec::new(600).with_seed(8).generate(&dataset).queries;
+        // Multihost shards: one IVFPQ index per host over a contiguous slice
+        // of the corpus, with globally unique ids; each stored vector keeps
+        // the same modeled scale, so the deployment models the same corpus.
+        let shard = |shards: usize| -> Vec<IvfPqIndex> {
+            if !args.selected("multihost") {
+                return Vec::new();
+            }
+            shard_ranges(dataset.vectors.len(), shards)
+                .iter()
+                .map(|r| {
+                    let rows: Vec<usize> = r.clone().collect();
+                    let part = dataset.vectors.gather(&rows);
+                    let params = IvfPqParams::new((NLIST / shards).max(16), PQ_M)
+                        .with_train_size(2_400 / shards);
+                    let mut ix = IvfPqIndex::train_empty(&part, &params, 5);
+                    ix.add(&part, r.start as u64);
+                    ix
+                })
+                .collect()
+        };
+        // The failover deployment has its own fixed shard set, decoupled
+        // from --hosts so the committed recovery envelope stays comparable.
+        let (shard_indexes, failover_indexes) = (shard(args.hosts), shard(FAILOVER_SHARDS));
 
-/// The options closure of [`SearchService::replay_planned`], shared with the
-/// threaded pipeline so both runtimes ask the exact same questions on a
-/// multi-tenant stream.
-fn planned_options(stream: &QueryStream, i: usize) -> QueryOptions {
-    let (k, nprobe) = stream
-        .option_plan
-        .get(i)
-        .copied()
-        .unwrap_or_else(|| (QueryOptions::default().k, QueryOptions::default().nprobe));
-    QueryOptions::new(k, nprobe).with_tenant(stream.tenant(i))
-}
+        let slo_s = args.slo_ms / 1e3;
+        let spec = |n: usize, qps: f64| StreamSpec::new(n, qps).with_repeat_fraction(args.repeat);
+        let stream = spec(args.queries, args.qps).with_slo_p99(slo_s).generate(&dataset);
+        // Bound each threaded row's real duration to roughly six wall-clock
+        // seconds of offered stream: enough arrivals to smooth the Poisson
+        // noise, capped by --queries.
+        let sweep_rates: &[f64] = if mode == Mode::Threaded { &args.sweep_qps } else { &[] };
+        let sweep = sweep_rates
+            .iter()
+            .map(|&qps| {
+                let n = args.queries.min(((qps * 6.0) as usize).max(240));
+                (qps, spec(n, qps).with_slo_p99(slo_s).generate(&dataset))
+            })
+            .collect();
+        // The threaded default tenant mix is rescaled for wall-clock runs;
+        // an explicit --tenants always wins.
+        let default = if mode == Mode::Threaded { THREADED_TENANTS } else { DEFAULT_TENANTS };
+        let tenants = args.tenants.clone().unwrap_or_else(|| default.to_string());
+        let mix = parse_tenants(&tenants);
+        let tstream = mix.generate(&dataset);
+        let failover = spec(FAILOVER_QUERIES, FAILOVER_QPS)
+            .with_slo_p99(FAILOVER_SLO_MS / 1e3)
+            .generate(&dataset);
 
-/// Serializes answer maps as `workload TAB index TAB id,id,...` lines —
-/// the byte format CI diffs between `--runtime replay` and `--runtime twin`.
-/// Only neighbor ids appear: the twin contract is about *which* answers come
-/// back, and ids are byte-stable across platforms where float formatting
-/// might not be.
-fn write_answers(
-    path: &str,
-    single: &[Vec<Neighbor>],
-    multi: &[Vec<Neighbor>],
-    failover: &[Vec<Neighbor>],
-    live: &[Vec<Neighbor>],
-) {
-    let mut out = String::new();
-    for (label, results) in [
-        ("single", single),
-        ("multi", multi),
-        ("failover", failover),
-        ("live", live),
-    ] {
-        for (i, neighbors) in results.iter().enumerate() {
-            out.push_str(label);
-            out.push('\t');
-            out.push_str(&i.to_string());
-            out.push('\t');
-            let ids: Vec<String> = neighbors.iter().map(|n| n.id.to_string()).collect();
-            out.push_str(&ids.join(","));
-            out.push('\n');
+        // Only the UpANNS engine serves a live index (the multihost tiers
+        // decline timelines — documented residue).
+        let live_args = parse_mutations(&args.mutations);
+        if live_args.is_some() && !args.selected("upanns") {
+            eprintln!("note: --mutations set but upanns is not selected; skipping live rows");
+        }
+        let live_args = live_args.filter(|_| args.selected("upanns"));
+        let plan = |spec: MutationSpec| {
+            let events = spec.generate(&dataset, index.ntotal());
+            let plan = plan_live_index(&index, &events, LIVE_REFRESH_S, &bench_compaction_policy());
+            eprintln!(
+                "live-index plan: {} events -> {} snapshots, {} compaction(s), final epoch {}",
+                events.len(),
+                plan.timeline.entries().len(),
+                plan.compactions.len(),
+                plan.final_epoch
+            );
+            LiveRun { events, plan }
+        };
+        let live = live_args.map(|la| {
+            plan(MutationSpec::new(stream.duration())
+                .with_tenant(TenantId::DEFAULT, la.upsert_qps, la.delete_qps)
+                .with_seed(la.seed))
+        });
+        let growth = live_args.filter(|_| mode == Mode::Report).map(|la| {
+            plan(MutationSpec::new(tstream.duration())
+                .with_tenant(TenantId(mix.tenants.len() as u32), LIVE_GROWTH_UPSERT_QPS, 0.0)
+                .with_seed(la.seed ^ 0x9E37_79B9))
+        });
+        Self {
+            args,
+            mode,
+            faults: FaultSchedule::parse(&args.fault)
+                .unwrap_or_else(|err| reject(format!("--fault: {err}"))),
+            multi_offered: mix.tenants.iter().map(|t| t.stream.mean_qps).sum(),
+            index,
+            history,
+            shard_indexes,
+            failover_indexes,
+            stream,
+            sweep,
+            tenants,
+            tstream,
+            failover,
+            live,
+            growth,
         }
     }
-    std::fs::write(path, out).expect("write answers file");
-    eprintln!("wrote {path}");
+
+    /// The engine factory: a fresh engine of kind `name` (one of
+    /// [`KNOWN_ENGINES`] or [`FAILOVER_ENGINE`]) at modeled `work_scale`.
+    fn engine(&self, name: &str, work_scale: f64) -> Engine {
+        let pim = |index: &IvfPqIndex, config: UpAnnsConfig, dpus: usize| {
+            UpAnnsBuilder::new(index)
+                .with_config(config.with_work_scale(work_scale))
+                .with_pim_config(PimConfig::with_dpus(dpus))
+                .with_history(&self.history, 8)
+                .with_batch_capacity(BatchCapacity { batch_size: 64, nprobe: 8, max_k: 20 })
+                .build()
+        };
+        let shards = |indexes: &[IvfPqIndex], dpus: usize| -> Vec<UpAnnsEngine> {
+            indexes.iter().map(|ix| pim(ix, UpAnnsConfig::upanns(), dpus)).collect()
+        };
+        let interconnect = InterconnectModel::default();
+        match name {
+            "cpu" => Box::new(CpuFaissEngine::new(&self.index).with_work_scale(work_scale)),
+            "gpu" => Box::new(GpuFaissEngine::new(&self.index).with_work_scale(work_scale)),
+            "pim-naive" => Box::new(pim(&self.index, UpAnnsConfig::pim_naive(), DPUS)),
+            "upanns" => Box::new(pim(&self.index, UpAnnsConfig::upanns(), DPUS)),
+            "multihost" => Box::new(MultiHostUpAnns::new(
+                shards(&self.shard_indexes, DPUS / self.args.hosts),
+                interconnect,
+            )),
+            FAILOVER_ENGINE => match ReplicatedMultiHost::new(
+                shards(&self.failover_indexes, DPUS / FAILOVER_SHARDS),
+                FAILOVER_HOSTS,
+                self.args.replicas,
+                interconnect,
+            ) {
+                Ok(engine) => Box::new(
+                    engine
+                        .with_faults(self.faults.clone())
+                        .with_hedge_budget(self.args.hedge_ms / 1e3),
+                ),
+                Err(err) => reject(format!("--replicas: {err}")),
+            },
+            // parse_args rejects anything outside KNOWN_ENGINES.
+            other => unreachable!("engine '{other}' escaped --engines validation"),
+        }
+    }
 }
 
-/// One recall-vs-staleness bucket: queries whose serving snapshot trailed
-/// the exact corpus by a mutation lag inside the bucket's range.
-struct StalenessBucket {
-    label: &'static str,
-    queries: usize,
-    mean_recall: f64,
+/// The batch policy a scenario runs under.
+#[derive(Debug, Clone, Copy)]
+enum Batching {
+    /// The config's fixed low-latency window.
+    Fixed,
+    /// One global [`SloController`] targeting this p99 (seconds).
+    Slo(f64),
+    /// The per-tenant [`ControllerBank`] over the stream's profiles.
+    TenantBank,
+}
+
+/// One row of a run: what to serve, on which engine, under which front-end.
+#[derive(Clone, Copy)]
+struct Scenario<'a> {
+    /// Row label (`single`, `multi`, `failover`, `live-mutation`,
+    /// `live-growth`) or answer-map section.
+    workload: &'static str,
+    /// Factory name of the engine (see [`Fixture::engine`]).
+    engine: &'a str,
+    /// Modeled work scale the engine is built at.
+    work_scale: f64,
+    /// Continue on the previous scenario's engine instead of building a
+    /// fresh one (replay only: the policies of one scenario share an engine,
+    /// threaded through [`SearchService::into_engine`]).
+    reuse_engine: bool,
+    stream: &'a QueryStream,
+    /// Options from the stream's tenant plan rather than [`options_of`].
+    planned: bool,
+    config: ServiceConfig,
+    batching: Batching,
+    /// The live-index plan the engine serves, if any.
+    live: Option<&'a LiveRun>,
+    /// Attach the failover [`Autoscaler`] (replay rows only).
+    autoscale: bool,
+    /// Offered rate recorded in threaded rows.
+    offered_qps: f64,
+}
+
+impl Scenario<'_> {
+    fn options(&self, i: usize) -> QueryOptions {
+        if self.planned {
+            planned_options(self.stream, i)
+        } else {
+            options_of(i)
+        }
+    }
+
+    fn batch_policy(&self) -> Box<dyn BatchPolicy> {
+        match self.batching {
+            Batching::Fixed => Box::new(FixedPolicy(self.config.batcher)),
+            Batching::Slo(slo_s) => Box::new(SloController::for_slo(slo_s)),
+            Batching::TenantBank => Box::new(ControllerBank::for_profiles(
+                &self.stream.tenant_profiles,
+                self.config.batcher,
+            )),
+        }
+    }
+}
+
+/// The front-end configuration every scenario starts from. The fixed
+/// policy's close conditions are a low-latency batching window; the
+/// adaptive controllers start from the same point and widen it only while
+/// the observed p99 holds the SLO.
+fn service_config(args: &Args) -> ServiceConfig {
+    ServiceConfig {
+        queue_capacity: args.queue.unwrap_or(512),
+        batcher: BatchFormerConfig { max_batch: 256, max_delay_s: 25e-3 },
+        cache_capacity: 512,
+        cache_lookup_s: 2e-6,
+        slo_p99_s: None, // the stream's annotation carries the target
+        // The single-tenant sweep keeps whole-batch close-order dispatch:
+        // with nobody to isolate, chunking only sheds batch amortization.
+        max_chunk: None,
+    }
+}
+
+/// The ordered scenario list of one run; rows appear in list order.
+///
+/// - **single** — the single-tenant stream: every selected engine under
+///   every `--policy` (replay rows), the chosen engine once (answer map), or
+///   one row per `--sweep-qps` rate (threaded).
+/// - **multi** — the tenant mix on the chosen engine under the fixed
+///   window, one global [`SloController`] (targeting the tightest SLO in
+///   the mix — the only honest choice for a tenant-blind controller), the
+///   per-tenant [`ControllerBank`] with whole-batch dispatch, and the same
+///   bank under priority-chunked dispatch; the threaded sweep runs the
+///   chunked bank only.
+/// - **failover** — the replicated deployment under the outage schedule;
+///   replay rows add the SLO controller and the capacity-model autoscaler.
+/// - **live-mutation** / **live-growth** — the single-tenant stream against
+///   the mutating index, then the tenant mix while its last tenant's corpus
+///   grows. Like failover, the replay rows run under the adaptive policy:
+///   the fixed window collapses the UpANNS engine at this offered load, and
+///   a collapsed row's p99 split would measure queueing, not compaction.
+fn scenarios<'a>(fx: &'a Fixture) -> Vec<Scenario<'a>> {
+    let (args, mode) = (fx.args, fx.mode);
+    let slo_s = args.slo_ms / 1e3;
+    let tightest = fx.tstream.slo_p99_s.unwrap_or(slo_s);
+    let mut config = service_config(args);
+    if mode == Mode::Answers {
+        // The answer map must be total: widen the waiting room past every
+        // stream so neither side of the twin diff sheds anything.
+        let longest = fx.stream.len().max(fx.tstream.len()).max(fx.failover.len());
+        config.queue_capacity = config.queue_capacity.max(longest);
+    }
+    let replay_rows = mode == Mode::Report;
+    // The answer-map and threaded engine: the UpANNS PIM engine when
+    // selected (the paper's engine is what the sweep is about), else the
+    // first engine the user listed.
+    let upanns = args.selected("upanns");
+    let base = Scenario {
+        workload: "single",
+        engine: if upanns { "upanns" } else { args.engines[0].as_str() },
+        work_scale: if mode == Mode::Threaded { args.work_scale } else { REPLAY_WORK_SCALE },
+        reuse_engine: false,
+        stream: &fx.stream,
+        planned: false,
+        config,
+        batching: Batching::Fixed,
+        live: None,
+        autoscale: false,
+        offered_qps: args.qps,
+    };
+    let mut list = Vec::new();
+    match mode {
+        Mode::Report => {
+            for engine in KNOWN_ENGINES.into_iter().filter(|e| args.selected(e)) {
+                for (i, policy) in args.policies.iter().enumerate() {
+                    let batching = match policy {
+                        Policy::Fixed => Batching::Fixed,
+                        Policy::Adaptive => Batching::Slo(slo_s),
+                    };
+                    list.push(Scenario { engine, reuse_engine: i > 0, batching, ..base });
+                }
+            }
+        }
+        Mode::Answers => list.push(base),
+        Mode::Threaded => list.extend(
+            fx.sweep.iter().map(|(qps, stream)| Scenario { stream, offered_qps: *qps, ..base }),
+        ),
+    }
+
+    let multi = Scenario {
+        workload: "multi",
+        stream: &fx.tstream,
+        planned: true,
+        offered_qps: fx.multi_offered,
+        ..base
+    };
+    let chunked = ServiceConfig { max_chunk: Some(args.max_chunk), ..config };
+    let multi_policies = match mode {
+        Mode::Report if !upanns => vec![],
+        Mode::Report => args
+            .policies
+            .iter()
+            .flat_map(|policy| match policy {
+                Policy::Fixed => vec![(Batching::Fixed, config)],
+                Policy::Adaptive => vec![
+                    (Batching::Slo(tightest), config),
+                    (Batching::TenantBank, config),
+                    (Batching::TenantBank, chunked),
+                ],
+            })
+            .collect(),
+        Mode::Answers => vec![(Batching::Fixed, config)],
+        Mode::Threaded => vec![(Batching::TenantBank, chunked)],
+    };
+    for (i, (batching, config)) in multi_policies.into_iter().enumerate() {
+        // The answer map's multi section continues the single section's
+        // engine; the replay's multi policies share one.
+        let reuse_engine = i > 0 || mode == Mode::Answers;
+        list.push(Scenario { reuse_engine, batching, config, ..multi });
+    }
+
+    if args.selected("multihost") {
+        list.push(Scenario {
+            workload: "failover",
+            engine: FAILOVER_ENGINE,
+            stream: &fx.failover,
+            config: ServiceConfig { max_chunk: Some(FAILOVER_MAX_CHUNK), ..config },
+            batching: if replay_rows { Batching::Slo(FAILOVER_SLO_MS / 1e3) } else { Batching::Fixed },
+            autoscale: replay_rows,
+            offered_qps: FAILOVER_QPS,
+            ..base
+        });
+    }
+    if let Some(live) = &fx.live {
+        list.push(Scenario {
+            workload: if mode == Mode::Answers { "live" } else { "live-mutation" },
+            batching: if replay_rows { Batching::Slo(slo_s) } else { Batching::Fixed },
+            live: Some(live),
+            ..base
+        });
+    }
+    if let Some(growth) = &fx.growth {
+        list.push(Scenario {
+            workload: "live-growth",
+            batching: Batching::Slo(tightest),
+            live: Some(growth),
+            ..multi
+        });
+    }
+    list
+}
+
+/// Replays one scenario on the replay clock — on `engine` when the scenario
+/// continues the previous one's engine, else on a fresh one — and returns
+/// the report with the engine (the next scenario's, or the live audit's
+/// oracle).
+fn replay(fx: &Fixture, s: &Scenario, engine: Option<Engine>) -> (ServiceReport, Engine) {
+    let engine = match engine.filter(|_| s.reuse_engine) {
+        Some(engine) => engine,
+        None => fx.engine(s.engine, s.work_scale),
+    };
+    eprintln!("replay: {} on {} ({} queries) ...", s.workload, engine.name(), s.stream.len());
+    let mut service = SearchService::new(engine, s.config).with_policy(s.batch_policy());
+    if let Some(live) = s.live {
+        let (live_service, accepted) = service.with_live_index(&live.plan.timeline);
+        assert!(accepted, "the upanns engine accepts snapshot timelines");
+        service = live_service;
+    }
+    if s.autoscale {
+        // The capacity-model fit the `capacity_planning` example runs,
+        // never below the committed shape (scale-downs would change the
+        // healthy baseline), two hosts of elastic headroom above it.
+        let model = CapacityModel::fit(&CAPACITY_SAMPLES);
+        let (hosts, max_hosts) = (FAILOVER_HOSTS, FAILOVER_HOSTS + 2);
+        service = service.with_autoscaler(Autoscaler::new(model, FAILOVER_QPS, hosts, hosts, max_hosts));
+    }
+    let report = service.replay(s.stream, |i| s.options(i));
+    (report, service.into_engine())
+}
+
+/// Runs one scenario through the threaded pipeline on `workers` fresh
+/// engines, in logical-trace mode when `logical`, else on the wall clock.
+fn pipeline(fx: &Fixture, s: &Scenario, workers: usize, logical: bool) -> RuntimeReport {
+    let engines: Vec<Engine> = (0..workers)
+        .map(|_| {
+            let mut engine = fx.engine(s.engine, s.work_scale);
+            if let Some(live) = s.live {
+                let accepted = engine.install_timeline(live.plan.timeline.clone());
+                assert!(accepted, "the upanns engine accepts snapshot timelines");
+            }
+            engine
+        })
+        .collect();
+    let (mut config, clock) = if logical {
+        (RuntimeConfig::logical(s.config), "logical")
+    } else {
+        (RuntimeConfig::wall(s.config), "wall")
+    };
+    if let Some(live) = s.live {
+        config = config.with_epoch_schedule(live.plan.timeline.epoch_schedule());
+    }
+    let (workload, engine, n) = (s.workload, engines[0].name(), s.stream.len());
+    eprintln!("{clock} pipeline: {workload} on {engine}, {workers} worker(s), {n} queries ...");
+    let report = run_pipeline(engines, s.stream, |i| s.options(i), s.batch_policy(), config);
+    assert!(report.is_conserving(), "{} run lost or duplicated queries", s.workload);
+    report
 }
 
 /// The post-replay audit of a live-mutation row (see the module docs).
@@ -915,7 +1111,9 @@ struct LiveSummary {
     answered_in_window: usize,
     p99_steady_ms: f64,
     p99_compaction_ms: f64,
-    buckets: Vec<StalenessBucket>,
+    /// The recall-vs-staleness curve: `(lag label, queries, mean recall)`
+    /// per [`STALENESS_BUCKETS`] entry.
+    buckets: Vec<(&'static str, usize, f64)>,
 }
 
 /// Nearest-rank p99 over unsorted millisecond latencies (0 when empty).
@@ -941,15 +1139,14 @@ fn p99_ms(latencies_ms: &mut [f64]) -> f64 {
 ///   alongside the arrivals, so each query's served ids are scored against
 ///   an exact search of the *up-to-the-second* corpus; buckets group by how
 ///   many mutations the serving snapshot trailed by.
-fn live_summary<E: AnnEngine, F: Fn(usize) -> QueryOptions>(
+fn live_summary(
     report: &ServiceReport,
-    oracle: &mut E,
+    oracle: &mut Engine,
     base: &IvfPqIndex,
-    stream: &QueryStream,
-    options: F,
-    events: &MutationStream,
-    plan: &LiveIndexPlan,
+    s: &Scenario,
+    live: &LiveRun,
 ) -> LiveSummary {
+    let (stream, events, plan) = (s.stream, &live.events, &live.plan);
     let mut steady_ms: Vec<f64> = Vec::new();
     let mut window_ms: Vec<f64> = Vec::new();
     for &(arrival, latency) in &report.outcomes {
@@ -971,12 +1168,8 @@ fn live_summary<E: AnnEngine, F: Fn(usize) -> QueryOptions>(
     for (i, &arrival) in stream.arrivals.iter().enumerate() {
         while next_event < events.events.len() && events.events[next_event].at <= arrival {
             match &events.events[next_event].op {
-                MutationOp::Upsert { id, vector } => {
-                    exact.upsert(vector, *id);
-                }
-                MutationOp::Delete { id } => {
-                    exact.delete(*id);
-                }
+                MutationOp::Upsert { id, vector } => exact.upsert(vector, *id),
+                MutationOp::Delete { id } => _ = exact.delete(*id),
             }
             next_event += 1;
         }
@@ -984,24 +1177,16 @@ fn live_summary<E: AnnEngine, F: Fn(usize) -> QueryOptions>(
         if served.is_empty() {
             continue; // shed
         }
-        let opt = options(i);
-        let query = stream.batch.queries.vector(i);
-
-        let mut one = Dataset::with_capacity(stream.batch.queries.dim(), 1);
-        one.push(query);
-        let expect = oracle
-            .execute(&SearchRequest::new(one, vec![opt]).with_at(arrival))
-            .results
-            .swap_remove(0);
-        if served.len() != expect.len()
-            || served.iter().zip(&expect).any(|(a, b)| a.id != b.id)
-        {
+        let opt = s.options(i);
+        let request = SearchRequest::new(stream.batch.queries.gather(&[i]), vec![opt]);
+        let expect = oracle.execute(&request.with_at(arrival)).results;
+        if !served.iter().map(|n| n.id).eq(expect[0].iter().map(|n| n.id)) {
             stale_served += 1;
         }
 
-        let exact_top = exact.snapshot().search(query, opt.nprobe, opt.k);
+        let query = stream.batch.queries.vector(i);
         let exact_ids: std::collections::HashSet<u64> =
-            exact_top.iter().map(|n| n.id).collect();
+            exact.snapshot().search(query, opt.nprobe, opt.k).iter().map(|n| n.id).collect();
         let recall = if exact_ids.is_empty() {
             1.0
         } else {
@@ -1029,1224 +1214,473 @@ fn live_summary<E: AnnEngine, F: Fn(usize) -> QueryOptions>(
         buckets: STALENESS_BUCKETS
             .iter()
             .zip(buckets)
-            .map(|(&(label, _, _), (queries, recall_sum))| StalenessBucket {
-                label,
-                queries,
-                mean_recall: if queries == 0 { 1.0 } else { recall_sum / queries as f64 },
+            .map(|(&(label, _, _), (queries, recall_sum))| {
+                (label, queries, if queries == 0 { 1.0 } else { recall_sum / queries as f64 })
             })
             .collect(),
     }
 }
 
-/// The live-mutation audit as a JSON object (`null` for frozen-index rows).
-fn live_json(live: Option<&LiveSummary>) -> String {
-    match live {
-        None => "null".to_string(),
-        Some(s) => {
-            let buckets: Vec<String> = s
-                .buckets
-                .iter()
-                .map(|b| {
-                    format!(
-                        "{{ \"lag\": \"{}\", \"queries\": {}, \"mean_recall\": {} }}",
-                        b.label,
-                        b.queries,
-                        json_num(b.mean_recall)
-                    )
-                })
-                .collect();
-            format!(
-                "{{ \"final_epoch\": {}, \"snapshots\": {}, \"compactions\": {}, \
-                 \"mutation_events\": {}, \"stale_served\": {}, \"answered_in_window\": {}, \
-                 \"p99_steady_ms\": {}, \"p99_compaction_ms\": {}, \
-                 \"recall_vs_staleness\": [{}] }}",
-                s.final_epoch,
-                s.snapshots,
-                s.compactions,
-                s.mutation_events,
-                s.stale_served,
-                s.answered_in_window,
-                json_num(s.p99_steady_ms),
-                json_num(s.p99_compaction_ms),
-                buckets.join(", "),
-            )
+/// How a JSON container is laid out: `Block` puts each member on its own
+/// indented line (records, rows, tenants), `Inline` keeps the whole
+/// container on one line (`envelope`, `live`, config lists).
+#[derive(Clone, Copy)]
+enum Layout {
+    Block,
+    Inline,
+}
+
+/// A JSON value with ordered object keys — the one writer behind both
+/// bench records. Build objects with `obj!`; values convert with `From`.
+enum Json {
+    /// A number, boolean, `null` or already-quoted string.
+    Lit(String),
+    Arr(Layout, Vec<Json>),
+    Obj(Layout, Vec<(&'static str, Json)>),
+}
+
+/// An ordered JSON object: `obj!(Block; "key" => value, ...)`.
+macro_rules! obj {
+    ($layout:ident; $($key:expr => $value:expr),* $(,)?) => {
+        Json::Obj(Layout::$layout, vec![$(($key, Json::from($value))),*])
+    };
+}
+
+/// Integers and booleans print as themselves.
+macro_rules! json_literals {
+    ($($t:ty),*) => {$(
+        impl From<$t> for Json {
+            fn from(x: $t) -> Self {
+                Json::Lit(x.to_string())
+            }
         }
+    )*};
+}
+json_literals!(usize, u64, u32, bool);
+
+impl From<f64> for Json {
+    /// Six decimals; non-finite values (which JSON cannot carry) as `0.0`.
+    fn from(x: f64) -> Self {
+        Json::Lit(if x.is_finite() { format!("{x:.6}") } else { "0.0".to_string() })
     }
 }
 
-/// One threaded-sweep row as JSON (schema `upanns-runtime-bench-v3`).
-fn runtime_row_json(r: &RuntimeReport, workload: &str, offered_qps: f64, num_queries: usize) -> String {
-    let tenants: Vec<String> = r
-        .tenants
-        .iter()
-        .map(|t| {
-            format!(
-                concat!(
-                    "        {{\n",
-                    "          \"tenant\": \"{}\",\n",
-                    "          \"slo_ms\": {},\n",
-                    "          \"completed\": {},\n",
-                    "          \"shed\": {},\n",
-                    "          \"p50_ms\": {},\n",
-                    "          \"p99_ms\": {},\n",
-                    "          \"slo_miss_fraction\": {},\n",
-                    "          \"meets_slo\": {}\n",
-                    "        }}"
-                ),
-                t.name,
-                t.slo_p99_s.map_or_else(|| "null".to_string(), |s| json_num(s * 1e3)),
-                t.completed,
-                t.shed,
-                json_num(t.p50() * 1e3),
-                json_num(t.p99() * 1e3),
-                json_num(t.slo_miss_fraction()),
-                t.meets_slo(),
-            )
-        })
-        .collect();
-    let emulated_utilization = if r.makespan_s > 0.0 && r.workers > 0 {
-        r.busy_modeled_s / (r.makespan_s * r.workers as f64)
-    } else {
-        0.0
-    };
-    format!(
-        concat!(
-            "    {{\n",
-            "      \"engine\": \"{}\",\n",
-            "      \"workload\": \"{}\",\n",
-            "      \"mode\": \"{}\",\n",
-            "      \"policy\": \"{}\",\n",
-            "      \"workers\": {},\n",
-            "      \"offered_qps\": {},\n",
-            "      \"num_queries\": {},\n",
-            "      \"sustained_qps\": {},\n",
-            "      \"p50_ms\": {},\n",
-            "      \"p99_ms\": {},\n",
-            "      \"mean_ms\": {},\n",
-            "      \"completed\": {},\n",
-            "      \"shed\": {},\n",
-            "      \"lost\": {},\n",
-            "      \"duplicated\": {},\n",
-            "      \"degraded\": {},\n",
-            "      \"hedged\": {},\n",
-            "      \"redispatched\": {},\n",
-            "      \"cache_hit_rate\": {},\n",
-            "      \"cache_invalidated\": {},\n",
-            "      \"dispatched_chunks\": {},\n",
-            "      \"busy_modeled_s\": {},\n",
-            "      \"makespan_s\": {},\n",
-            "      \"emulated_utilization\": {},\n",
-            "      \"tenants\": [\n{}\n      ]\n",
-            "    }}"
-        ),
-        r.engine,
-        workload,
-        r.mode,
-        r.policy,
-        r.workers,
-        json_num(offered_qps),
-        num_queries,
-        json_num(r.sustained_qps()),
-        json_num(r.p50() * 1e3),
-        json_num(r.p99() * 1e3),
-        json_num(r.mean_latency() * 1e3),
-        r.completed,
-        r.shed,
-        r.lost,
-        r.duplicated,
-        r.degraded,
-        r.hedged,
-        r.redispatched,
-        json_num(r.cache_hit_rate()),
-        r.cache_invalidated,
-        r.dispatched_chunks,
-        json_num(r.busy_modeled_s),
-        json_num(r.makespan_s),
-        json_num(emulated_utilization),
-        tenants.join(",\n"),
-    )
-}
-
-/// Prints one threaded/twin run as a markdown table row.
-fn print_runtime_row(r: &RuntimeReport, workload: &str, offered_qps: f64) {
-    println!(
-        "| {} | {} | {} | {} | {:.1} | {:.1} | {:.3} | {:.3} | {} | {} | {} | {} | {:.0}% |",
-        r.engine,
-        workload,
-        r.mode,
-        r.workers,
-        offered_qps,
-        r.sustained_qps(),
-        r.p50() * 1e3,
-        r.p99() * 1e3,
-        r.completed,
-        r.shed,
-        r.lost,
-        r.duplicated,
-        r.cache_hit_rate() * 100.0,
-    );
-}
-
-/// Replays both answer streams (single-tenant, then the multi-tenant
-/// scenario) on one engine and returns the two answer maps. The queue is
-/// widened so nothing is shed — the answer map must be total on both sides
-/// of the twin diff.
-fn replay_answers<E: AnnEngine>(
-    engine: E,
-    stream: &QueryStream,
-    tstream: &QueryStream,
-    config: ServiceConfig,
-) -> (Vec<Vec<Neighbor>>, Vec<Vec<Neighbor>>) {
-    let mut service = SearchService::new(engine, config);
-    let single = service.replay(stream, options_of).results;
-    let mut service = SearchService::new(service.into_engine(), config);
-    let multi = service.replay_planned(tstream).results;
-    (single, multi)
-}
-
-/// The twin side of [`replay_answers`]: the same two streams through the
-/// threaded pipeline in logical-trace mode, `workers` engine instances each.
-fn twin_answers<E: AnnEngine + Send>(
-    engines_single: Vec<E>,
-    engines_multi: Vec<E>,
-    stream: &QueryStream,
-    tstream: &QueryStream,
-    config: ServiceConfig,
-) -> (RuntimeReport, RuntimeReport) {
-    let single = run_pipeline(
-        engines_single,
-        stream,
-        options_of,
-        Box::new(FixedPolicy(config.batcher)),
-        RuntimeConfig::logical(config),
-    );
-    let multi = run_pipeline(
-        engines_multi,
-        tstream,
-        |i| planned_options(tstream, i),
-        Box::new(FixedPolicy(config.batcher)),
-        RuntimeConfig::logical(config),
-    );
-    (single, multi)
-}
-
-fn main() {
-    let args = parse_args();
-    let work_scale = (MODELED_N / DATASET_N as f64).max(1.0);
-    let slo_s = args.slo_ms / 1e3;
-    assert!(slo_s > 0.0, "--slo-ms must be positive");
-    assert!(args.hosts >= 1, "--hosts must be at least 1");
-
-    eprintln!(
-        "building fixture: n={DATASET_N}, nlist={NLIST}, dpus={DPUS}, \
-         stream of {} queries at {} qps (repeat fraction {}, p99 SLO {} ms)",
-        args.queries, args.qps, args.repeat, args.slo_ms
-    );
-    let dataset = SyntheticSpec::sift_like(DATASET_N)
-        .with_clusters(16)
-        .with_seed(7)
-        .generate_with_meta();
-    let index = IvfPqIndex::train(
-        &dataset.vectors,
-        &IvfPqParams::new(NLIST, PQ_M).with_train_size(2_400),
-        5,
-    );
-    let history = WorkloadSpec::new(600).with_seed(8).generate(&dataset).queries;
-    let stream = StreamSpec::new(args.queries, args.qps)
-        .with_repeat_fraction(args.repeat)
-        .with_slo_p99(slo_s)
-        .generate(&dataset);
-
-    // The fixed policy's close conditions: a low-latency batching window.
-    // The adaptive controller starts from the same point and widens it only
-    // while the observed p99 holds the SLO.
-    let fixed_batcher = BatchFormerConfig {
-        max_batch: 256,
-        max_delay_s: 25e-3,
-    };
-    let service_config = ServiceConfig {
-        queue_capacity: args.queue.unwrap_or(512),
-        batcher: fixed_batcher,
-        cache_capacity: 512,
-        cache_lookup_s: 2e-6,
-        slo_p99_s: None, // the stream's annotation carries the target
-        // The single-tenant sweep keeps whole-batch close-order dispatch:
-        // with nobody to isolate, chunking only sheds batch amortization.
-        max_chunk: None,
-    };
-
-    // The live-mutation plan: the committed mutation stream folded into an
-    // epoch-stamped snapshot timeline, shared by every runtime path below.
-    // Only the UpANNS engine serves it (the single-host tiers install
-    // timelines; the multihost tiers decline — documented residue).
-    let live_args = parse_mutations(&args.mutations);
-    let live_on = live_args.is_some() && args.engines.iter().any(|e| e == "upanns");
-    if live_args.is_some() && !live_on {
-        eprintln!("note: --mutations set but upanns is not selected; skipping live rows");
+impl From<&str> for Json {
+    fn from(s: &str) -> Self {
+        Json::Lit(format!("\"{}\"", s.replace('\\', "\\\\").replace('"', "\\\"")))
     }
-    let (live_events, live_plan) = if live_on {
-        let la = live_args.expect("gated on is_some");
-        let events = MutationSpec::new(stream.duration())
-            .with_tenant(TenantId::DEFAULT, la.upsert_qps, la.delete_qps)
-            .with_seed(la.seed)
-            .generate(&dataset, index.ntotal());
-        let plan = plan_live_index(&index, &events, LIVE_REFRESH_S, &bench_compaction_policy());
-        eprintln!(
-            "live-mutation plan: {} events -> {} snapshots, {} compaction(s), final epoch {}",
-            events.len(),
-            plan.timeline.entries().len(),
-            plan.compactions.len(),
-            plan.final_epoch
-        );
-        (Some(events), Some(plan))
-    } else {
-        (None, None)
-    };
+}
 
-    // Multihost shards: one IVFPQ index per host over a contiguous slice of
-    // the corpus, with globally unique ids; each stored vector keeps the same
-    // modeled scale, so the deployment models the same corpus.
-    let shard_indexes: Vec<IvfPqIndex> = if args.engines.iter().any(|e| e == "multihost") {
-        shard_ranges(dataset.vectors.len(), args.hosts)
-            .iter()
-            .map(|r| {
-                let rows: Vec<usize> = r.clone().collect();
-                let shard = dataset.vectors.gather(&rows);
-                let nlist = (NLIST / args.hosts).max(16);
-                let mut ix = IvfPqIndex::train_empty(
-                    &shard,
-                    &IvfPqParams::new(nlist, PQ_M).with_train_size(2_400 / args.hosts),
-                    5,
-                );
-                ix.add(&shard, r.start as u64);
-                ix
-            })
-            .collect()
-    } else {
-        Vec::new()
-    };
-
-    fn build_pim(
-        index: &IvfPqIndex,
-        config: UpAnnsConfig,
-        dpus: usize,
-        work_scale: f64,
-        history: &annkit::vector::Dataset,
-    ) -> UpAnnsEngine {
-        UpAnnsBuilder::new(index)
-            .with_config(config.with_work_scale(work_scale))
-            .with_pim_config(PimConfig::with_dpus(dpus))
-            .with_history(history, 8)
-            .with_batch_capacity(BatchCapacity {
-                batch_size: 64,
-                nprobe: 8,
-                max_k: 20,
-            })
-            .build()
+impl<T: Into<Json>> From<Option<T>> for Json {
+    /// `null` for `None`.
+    fn from(x: Option<T>) -> Self {
+        x.map_or_else(|| Json::Lit("null".to_string()), Into::into)
     }
-    let build_multihost = |ws: f64| {
-        let engines: Vec<UpAnnsEngine> = shard_indexes
-            .iter()
-            .map(|ix| build_pim(ix, UpAnnsConfig::upanns(), DPUS / args.hosts, ws, &history))
-            .collect();
-        MultiHostUpAnns::new(engines, InterconnectModel::default())
-    };
+}
 
-    // The failover scenario's fixed-shape replicated deployment (see the
-    // module docs): its own shard set, stream and outage schedule, decoupled
-    // from --hosts so the committed recovery envelope stays comparable.
-    let failover_on = args.engines.iter().any(|e| e == "multihost");
-    let faults = FaultSchedule::parse(&args.fault)
-        .unwrap_or_else(|err| reject(format!("--fault: {err}")));
-    let failover_indexes: Vec<IvfPqIndex> = if failover_on {
-        shard_ranges(dataset.vectors.len(), FAILOVER_SHARDS)
-            .iter()
-            .map(|r| {
-                let rows: Vec<usize> = r.clone().collect();
-                let shard = dataset.vectors.gather(&rows);
-                let nlist = (NLIST / FAILOVER_SHARDS).max(16);
-                let mut ix = IvfPqIndex::train_empty(
-                    &shard,
-                    &IvfPqParams::new(nlist, PQ_M).with_train_size(2_400 / FAILOVER_SHARDS),
-                    5,
-                );
-                ix.add(&shard, r.start as u64);
-                ix
-            })
-            .collect()
-    } else {
-        Vec::new()
-    };
-    let failover_stream = StreamSpec::new(FAILOVER_QUERIES, FAILOVER_QPS)
-        .with_repeat_fraction(args.repeat)
-        .with_slo_p99(FAILOVER_SLO_MS / 1e3)
-        .generate(&dataset);
-    let build_failover = |ws: f64| {
-        let engines: Vec<UpAnnsEngine> = failover_indexes
-            .iter()
-            .map(|ix| build_pim(ix, UpAnnsConfig::upanns(), DPUS / FAILOVER_SHARDS, ws, &history))
-            .collect();
-        match ReplicatedMultiHost::new(
-            engines,
-            FAILOVER_HOSTS,
-            args.replicas,
-            InterconnectModel::default(),
-        ) {
-            Ok(engine) => engine
-                .with_faults(faults.clone())
-                .with_hedge_budget(args.hedge_ms / 1e3),
-            Err(err) => reject(format!("--replicas: {err}")),
-        }
-    };
-
-    // ------------------------------------------------------------------
-    // Threaded and twin runtimes (and the answer-map writer) exit early;
-    // everything below this block is the replay path, byte-identical to
-    // the committed baseline under the default flags.
-    // ------------------------------------------------------------------
-
-    // The threaded/twin engine: the UpANNS PIM engine when selected (the
-    // paper's engine is what the scaling sweep is about), else the first
-    // engine the user listed.
-    let chosen_engine: &str = if args.engines.iter().any(|e| e == "upanns") {
-        "upanns"
-    } else {
-        args.engines[0].as_str()
-    };
-
-    if args.runtime == RuntimeKind::Twin
-        || (args.runtime == RuntimeKind::Replay && args.answers.is_some())
-    {
-        let tmix = parse_tenants(&args.tenants);
-        let tstream = tmix.generate(&dataset);
-        // The answer map must be total: widen the waiting room past both
-        // streams so neither side of the twin diff sheds anything.
-        let answers_config = ServiceConfig {
-            queue_capacity: service_config
-                .queue_capacity
-                .max(stream.len())
-                .max(tstream.len())
-                .max(failover_stream.len()),
-            ..service_config
+impl Json {
+    /// Appends the value; `indent` is the column of the line it starts on.
+    fn render(&self, indent: usize, out: &mut String) {
+        let (layout, [open, close], members): (_, _, Vec<(Option<&str>, &Json)>) = match self {
+            Json::Lit(text) => return out.push_str(text),
+            Json::Arr(layout, items) => (*layout, ["[", "]"], items.iter().map(|v| (None, v)).collect()),
+            Json::Obj(layout, fields) => {
+                (*layout, ["{", "}"], fields.iter().map(|(k, v)| (Some(*k), v)).collect())
+            }
         };
-        let workers = args.workers[0];
-        macro_rules! answer_maps {
-            ($build:expr) => {{
-                if args.runtime == RuntimeKind::Twin {
-                    let singles: Vec<_> = (0..workers).map(|_| $build).collect();
-                    let multis: Vec<_> = (0..workers).map(|_| $build).collect();
-                    eprintln!(
-                        "twin: {chosen_engine} logical-trace pipeline, {workers} worker(s), \
-                         {} + {} queries ...",
-                        stream.len(),
-                        tstream.len()
-                    );
-                    let (s, m) = twin_answers(singles, multis, &stream, &tstream, answers_config);
-                    assert!(
-                        s.is_conserving() && m.is_conserving(),
-                        "twin run lost or duplicated queries"
-                    );
-                    assert_eq!(s.shed + m.shed, 0, "twin runs shed nothing");
-                    (s.results, m.results)
-                } else {
-                    eprintln!(
-                        "replay: {chosen_engine} answer maps, {} + {} queries ...",
-                        stream.len(),
-                        tstream.len()
-                    );
-                    replay_answers($build, &stream, &tstream, answers_config)
-                }
-            }};
-        }
-        let (single, multi) = match chosen_engine {
-            "cpu" => answer_maps!(CpuFaissEngine::new(&index).with_work_scale(work_scale)),
-            "gpu" => answer_maps!(GpuFaissEngine::new(&index).with_work_scale(work_scale)),
-            "pim-naive" => {
-                answer_maps!(build_pim(&index, UpAnnsConfig::pim_naive(), DPUS, work_scale, &history))
-            }
-            "upanns" => {
-                answer_maps!(build_pim(&index, UpAnnsConfig::upanns(), DPUS, work_scale, &history))
-            }
-            "multihost" => answer_maps!(build_multihost(work_scale)),
-            other => unreachable!("engine '{other}' escaped --engines validation"),
+        let (start, pad, sep, end) = match (layout, self) {
+            (Layout::Block, _) => ("\n", " ".repeat(indent + 2), ",\n", format!("\n{}", " ".repeat(indent))),
+            (Layout::Inline, Json::Obj(..)) => (" ", String::new(), ", ", " ".to_string()),
+            (Layout::Inline, _) => ("", String::new(), ", ", String::new()),
         };
-        // The failover section: the replicated deployment under the fault
-        // schedule, on both sides of the diff — fault membership is a pure
-        // function of the batch close time, so the maps must stay
-        // byte-identical even while hosts die and recover.
-        let failover = if failover_on {
-            // Same fixed chunk cap as the scenario rows, on both sides of
-            // the diff.
-            let failover_config = ServiceConfig {
-                max_chunk: Some(FAILOVER_MAX_CHUNK),
-                ..answers_config
-            };
-            if args.runtime == RuntimeKind::Twin {
-                let engines: Vec<_> = (0..workers).map(|_| build_failover(work_scale)).collect();
-                eprintln!(
-                    "twin: failover logical-trace pipeline, {workers} worker(s), \
-                     {} queries under fault schedule {:?} ...",
-                    failover_stream.len(),
-                    args.fault
-                );
-                let report = run_pipeline(
-                    engines,
-                    &failover_stream,
-                    options_of,
-                    Box::new(FixedPolicy(failover_config.batcher)),
-                    RuntimeConfig::logical(failover_config),
-                );
-                assert!(report.is_conserving(), "twin failover run lost or duplicated queries");
-                assert_eq!(report.shed, 0, "twin runs shed nothing");
-                report.results
-            } else {
-                eprintln!(
-                    "replay: failover answer map, {} queries under fault schedule {:?} ...",
-                    failover_stream.len(),
-                    args.fault
-                );
-                let mut service = SearchService::new(build_failover(work_scale), failover_config);
-                service.replay(&failover_stream, options_of).results
+        out.push_str(open);
+        out.push_str(start);
+        for (i, (key, value)) in members.into_iter().enumerate() {
+            if i > 0 {
+                out.push_str(sep);
             }
+            out.push_str(&pad);
+            if let Some(key) = key {
+                out.push_str(&format!("\"{key}\": "));
+            }
+            value.render(indent + 2, out);
+        }
+        out.push_str(&end);
+        out.push_str(close);
+    }
+}
+
+/// Writes a record: `schema`, the shared `config` block, then its rows.
+/// The threaded record's config lists its worker counts and sweep rates,
+/// the replay record's its stream, host count and snapshot refresh cadence.
+fn write_record(fx: &Fixture, path: &str, rows: Vec<Json>) {
+    let (args, threaded) = (fx.args, fx.mode == Mode::Threaded);
+    let config = service_config(args);
+    let mut fields = vec![
+        ("dataset_n", Json::from(DATASET_N)),
+        ("nlist", Json::from(NLIST)),
+        ("dpus", Json::from(DPUS)),
+    ];
+    if threaded {
+        let workers = args.workers.iter().map(|&w| Json::from(w)).collect();
+        let sweep = args.sweep_qps.iter().map(|&q| Json::from(q)).collect();
+        fields.push(("work_scale", Json::from(args.work_scale)));
+        fields.push(("workers", Json::Arr(Layout::Inline, workers)));
+        fields.push(("sweep_qps", Json::Arr(Layout::Inline, sweep)));
+    } else {
+        fields.push(("work_scale", Json::from(REPLAY_WORK_SCALE)));
+        fields.push(("num_queries", Json::from(args.queries)));
+        fields.push(("offered_qps", Json::from(args.qps)));
+    }
+    fields.push(("repeat_fraction", Json::from(args.repeat)));
+    fields.push(("slo_p99_ms", Json::from(args.slo_ms)));
+    if !threaded {
+        fields.push(("hosts", Json::from(args.hosts)));
+    }
+    fields.extend([
+        ("max_chunk", Json::from(args.max_chunk)),
+        ("queue_capacity", config.queue_capacity.into()),
+        ("fixed_max_batch", config.batcher.max_batch.into()),
+        ("fixed_max_delay_ms", (config.batcher.max_delay_s * 1e3).into()),
+        ("cache_capacity", config.cache_capacity.into()),
+        ("replicas", args.replicas.into()),
+        ("fault", args.fault.as_str().into()),
+        ("hedge_ms", args.hedge_ms.into()),
+        ("mutations", args.mutations.as_str().into()),
+    ]);
+    if !threaded {
+        fields.push(("live_refresh_s", Json::from(LIVE_REFRESH_S)));
+    }
+    fields.push(("tenants", Json::from(fx.tenants.as_str())));
+    let (schema, rows_key) = if threaded {
+        ("upanns-runtime-bench-v3", "rows")
+    } else {
+        ("upanns-serving-bench-v6", "engines")
+    };
+    let doc = obj!(Block;
+        "schema" => schema,
+        "config" => Json::Obj(Layout::Block, fields),
+        rows_key => Json::Arr(Layout::Block, rows),
+    );
+    let mut out = String::new();
+    doc.render(0, &mut out);
+    out.push('\n');
+    std::fs::write(path, out).expect("write JSON record");
+    eprintln!("wrote {path}");
+}
+
+/// Serves every scenario for its answers — on the replay clock, or through
+/// the twin pipeline on `--workers`' first count — and writes the map as
+/// `workload TAB index TAB id,id,...` lines, the byte format CI diffs
+/// between `--runtime replay` and `--runtime twin`. Only neighbor ids
+/// appear: the twin contract is about *which* answers come back, and ids
+/// are byte-stable across platforms where float formatting might not be.
+fn answer_map(fx: &Fixture, list: &[Scenario]) {
+    let mut engine = None;
+    let mut out = String::new();
+    let mut answered = 0;
+    for s in list {
+        let results = if fx.args.runtime == RuntimeKind::Twin {
+            let report = pipeline(fx, s, fx.args.workers[0], true);
+            assert_eq!(report.shed, 0, "twin runs shed nothing");
+            report.results
         } else {
-            Vec::new()
+            let (report, used) = replay(fx, s, engine.take());
+            engine = Some(used);
+            report.results
         };
-        // The live section: the single-tenant stream against the mutating
-        // index, on both sides of the diff — snapshot resolution is a pure
-        // function of each query's own arrival time, so the maps must stay
-        // byte-identical even while epochs advance and compactions run.
-        let live = if live_on {
-            let plan = live_plan.as_ref().expect("live_on implies a plan");
-            if args.runtime == RuntimeKind::Twin {
-                let engines: Vec<_> = (0..workers)
-                    .map(|_| {
-                        let mut engine =
-                            build_pim(&index, UpAnnsConfig::upanns(), DPUS, work_scale, &history);
-                        assert!(
-                            engine.install_timeline(plan.timeline.clone()),
-                            "the upanns engine accepts snapshot timelines"
-                        );
-                        engine
-                    })
-                    .collect();
-                eprintln!(
-                    "twin: live-mutation logical-trace pipeline, {workers} worker(s), \
-                     {} queries over {} epochs ...",
-                    stream.len(),
-                    plan.final_epoch
-                );
-                let report = run_pipeline(
-                    engines,
-                    &stream,
-                    options_of,
-                    Box::new(FixedPolicy(answers_config.batcher)),
-                    RuntimeConfig::logical(answers_config)
-                        .with_epoch_schedule(plan.timeline.epoch_schedule()),
-                );
-                assert!(report.is_conserving(), "twin live run lost or duplicated queries");
-                assert_eq!(report.shed, 0, "twin runs shed nothing");
-                report.results
-            } else {
-                eprintln!(
-                    "replay: live-mutation answer map, {} queries over {} epochs ...",
-                    stream.len(),
-                    plan.final_epoch
-                );
-                let (mut service, accepted) = SearchService::new(
-                    build_pim(&index, UpAnnsConfig::upanns(), DPUS, work_scale, &history),
-                    answers_config,
-                )
-                .with_live_index(&plan.timeline);
-                assert!(accepted, "the upanns engine accepts snapshot timelines");
-                service.replay(&stream, options_of).results
-            }
-        } else {
-            Vec::new()
-        };
-        match &args.answers {
-            Some(path) => write_answers(path, &single, &multi, &failover, &live),
-            None => eprintln!(
-                "twin run complete ({} + {} + {} + {} answers, all conserved); \
-                 use --answers PATH to write the map",
-                single.len(),
-                multi.len(),
-                failover.len(),
-                live.len()
-            ),
+        answered += results.len();
+        for (i, neighbors) in results.iter().enumerate() {
+            let ids: Vec<String> = neighbors.iter().map(|n| n.id.to_string()).collect();
+            out.push_str(&format!("{}\t{i}\t{}\n", s.workload, ids.join(",")));
         }
-        return;
     }
-
-    if args.runtime == RuntimeKind::Threaded {
-        // The threaded default tenant mix is rescaled for wall-clock runs;
-        // an explicit --tenants always wins.
-        let threaded_tenants = if args.tenants_overridden {
-            args.tenants.clone()
-        } else {
-            THREADED_TENANTS.to_string()
-        };
-        let tmix = parse_tenants(&threaded_tenants);
-        let tstream = tmix.generate(&dataset);
-        let multi_offered: f64 = tmix.tenants.iter().map(|t| t.stream.mean_qps).sum();
-        let mut rows: Vec<(String, f64, usize, RuntimeReport)> = Vec::new();
-        macro_rules! wall_run {
-            ($w:expr, $stream:expr, $opts:expr, $policy:expr, $cfg:expr) => {
-                match chosen_engine {
-                    "cpu" => run_pipeline(
-                        (0..$w)
-                            .map(|_| CpuFaissEngine::new(&index).with_work_scale(args.work_scale))
-                            .collect(),
-                        $stream,
-                        $opts,
-                        $policy,
-                        $cfg,
-                    ),
-                    "gpu" => run_pipeline(
-                        (0..$w)
-                            .map(|_| GpuFaissEngine::new(&index).with_work_scale(args.work_scale))
-                            .collect(),
-                        $stream,
-                        $opts,
-                        $policy,
-                        $cfg,
-                    ),
-                    "pim-naive" => run_pipeline(
-                        (0..$w)
-                            .map(|_| {
-                                build_pim(&index, UpAnnsConfig::pim_naive(), DPUS, args.work_scale, &history)
-                            })
-                            .collect(),
-                        $stream,
-                        $opts,
-                        $policy,
-                        $cfg,
-                    ),
-                    "upanns" => run_pipeline(
-                        (0..$w)
-                            .map(|_| {
-                                build_pim(&index, UpAnnsConfig::upanns(), DPUS, args.work_scale, &history)
-                            })
-                            .collect(),
-                        $stream,
-                        $opts,
-                        $policy,
-                        $cfg,
-                    ),
-                    "multihost" => run_pipeline(
-                        (0..$w).map(|_| build_multihost(args.work_scale)).collect(),
-                        $stream,
-                        $opts,
-                        $policy,
-                        $cfg,
-                    ),
-                    other => unreachable!("engine '{other}' escaped --engines validation"),
-                }
-            };
-        }
-        for &w in &args.workers {
-            for &qps in &args.sweep_qps {
-                // Bound each row's real duration to roughly six wall-clock
-                // seconds of offered stream: enough arrivals to smooth the
-                // Poisson noise, capped by --queries.
-                let n = args.queries.min(((qps * 6.0) as usize).max(240));
-                let row_stream = StreamSpec::new(n, qps)
-                    .with_repeat_fraction(args.repeat)
-                    .with_slo_p99(slo_s)
-                    .generate(&dataset);
-                eprintln!(
-                    "threaded: {chosen_engine} single-tenant, {w} worker(s), \
-                     {qps} qps offered, {n} queries ..."
-                );
-                let report = wall_run!(
-                    w,
-                    &row_stream,
-                    options_of,
-                    Box::new(FixedPolicy(service_config.batcher)),
-                    RuntimeConfig::wall(service_config)
-                );
-                assert!(report.is_conserving(), "threaded run lost or duplicated queries");
-                rows.push(("single".to_string(), qps, n, report));
-            }
-            eprintln!(
-                "threaded: {chosen_engine} multi-tenant ({} tenants, {} queries), {w} worker(s) ...",
-                tmix.tenants.len(),
-                tstream.len()
-            );
-            let chunked = ServiceConfig {
-                max_chunk: Some(args.max_chunk),
-                ..service_config
-            };
-            let report = wall_run!(
-                w,
-                &tstream,
-                |i| planned_options(&tstream, i),
-                Box::new(ControllerBank::for_profiles(
-                    &tstream.tenant_profiles,
-                    service_config.batcher
-                )),
-                RuntimeConfig::wall(chunked)
-            );
-            assert!(report.is_conserving(), "threaded run lost or duplicated queries");
-            rows.push(("multi".to_string(), multi_offered, tstream.len(), report));
-            if failover_on {
-                // The kill-a-host row runs in deterministic logical mode —
-                // the fault schedule lives on the simulated clock, and the
-                // row's point is conservation under faults, not wall time.
-                eprintln!(
-                    "threaded: failover (logical) under fault schedule {:?}, {w} worker(s), \
-                     {} queries ...",
-                    args.fault,
-                    failover_stream.len()
-                );
-                let failover_config = ServiceConfig {
-                    max_chunk: Some(FAILOVER_MAX_CHUNK),
-                    ..service_config
-                };
-                let report = run_pipeline(
-                    (0..w).map(|_| build_failover(args.work_scale)).collect(),
-                    &failover_stream,
-                    options_of,
-                    Box::new(FixedPolicy(failover_config.batcher)),
-                    RuntimeConfig::logical(failover_config),
-                );
-                assert!(
-                    report.is_conserving(),
-                    "failover run lost or duplicated queries"
-                );
-                rows.push(("failover".to_string(), FAILOVER_QPS, failover_stream.len(), report));
-            }
-            if live_on {
-                // The live-mutation row runs in deterministic logical mode —
-                // epoch visibility lives on the simulated clock, and the
-                // row's point is conservation and zero stale answers while
-                // the index mutates, not wall time.
-                let plan = live_plan.as_ref().expect("live_on implies a plan");
-                eprintln!(
-                    "threaded: live-mutation (logical), {w} worker(s), \
-                     {} queries over {} epochs ...",
-                    stream.len(),
-                    plan.final_epoch
-                );
-                let report = run_pipeline(
-                    (0..w)
-                        .map(|_| {
-                            let mut engine = build_pim(
-                                &index,
-                                UpAnnsConfig::upanns(),
-                                DPUS,
-                                args.work_scale,
-                                &history,
-                            );
-                            assert!(
-                                engine.install_timeline(plan.timeline.clone()),
-                                "the upanns engine accepts snapshot timelines"
-                            );
-                            engine
-                        })
-                        .collect(),
-                    &stream,
-                    options_of,
-                    Box::new(FixedPolicy(service_config.batcher)),
-                    RuntimeConfig::logical(service_config)
-                        .with_epoch_schedule(plan.timeline.epoch_schedule()),
-                );
-                assert!(
-                    report.is_conserving(),
-                    "live-mutation run lost or duplicated queries"
-                );
-                rows.push(("live-mutation".to_string(), args.qps, stream.len(), report));
-            }
-        }
-
-        println!(
-            "| engine | workload | mode | workers | offered QPS | sustained QPS | p50 (ms) | p99 (ms) | completed | shed | lost | dup | cache hit |"
-        );
-        println!("|---|---|---|---|---|---|---|---|---|---|---|---|---|");
-        for (workload, qps, _n, r) in &rows {
-            print_runtime_row(r, workload, *qps);
-        }
-
-        if let Some(path) = &args.json {
-            let body: Vec<String> = rows
-                .iter()
-                .map(|(workload, qps, n, r)| runtime_row_json(r, workload, *qps, *n))
-                .collect();
-            let workers_list: Vec<String> = args.workers.iter().map(|w| w.to_string()).collect();
-            let sweep_list: Vec<String> = args.sweep_qps.iter().map(|&q| json_num(q)).collect();
-            let json = format!(
-                concat!(
-                    "{{\n",
-                    "  \"schema\": \"upanns-runtime-bench-v3\",\n",
-                    "  \"config\": {{\n",
-                    "    \"dataset_n\": {},\n",
-                    "    \"nlist\": {},\n",
-                    "    \"dpus\": {},\n",
-                    "    \"work_scale\": {},\n",
-                    "    \"workers\": [{}],\n",
-                    "    \"sweep_qps\": [{}],\n",
-                    "    \"repeat_fraction\": {},\n",
-                    "    \"slo_p99_ms\": {},\n",
-                    "    \"max_chunk\": {},\n",
-                    "    \"queue_capacity\": {},\n",
-                    "    \"fixed_max_batch\": {},\n",
-                    "    \"fixed_max_delay_ms\": {},\n",
-                    "    \"cache_capacity\": {},\n",
-                    "    \"replicas\": {},\n",
-                    "    \"fault\": \"{}\",\n",
-                    "    \"hedge_ms\": {},\n",
-                    "    \"mutations\": \"{}\",\n",
-                    "    \"tenants\": \"{}\"\n",
-                    "  }},\n",
-                    "  \"rows\": [\n{}\n  ]\n",
-                    "}}\n"
-                ),
-                DATASET_N,
-                NLIST,
-                DPUS,
-                json_num(args.work_scale),
-                workers_list.join(", "),
-                sweep_list.join(", "),
-                json_num(args.repeat),
-                json_num(args.slo_ms),
-                args.max_chunk,
-                service_config.queue_capacity,
-                service_config.batcher.max_batch,
-                json_num(service_config.batcher.max_delay_s * 1e3),
-                service_config.cache_capacity,
-                args.replicas,
-                args.fault,
-                json_num(args.hedge_ms),
-                args.mutations,
-                threaded_tenants,
-                body.join(",\n"),
-            );
-            std::fs::write(path, json).expect("write JSON report");
+    match &fx.args.answers {
+        Some(path) => {
+            std::fs::write(path, out).expect("write answers file");
             eprintln!("wrote {path}");
         }
-        return;
+        None => eprintln!(
+            "twin run complete ({answered} answers, all conserved); \
+             use --answers PATH to write the map"
+        ),
     }
+}
 
-    // Replays one engine under every requested policy, rebuilding nothing:
-    // the engine is threaded through `into_engine` between replays.
-    let mut reports: Vec<ServiceReport> = Vec::new();
-    let run = |engine_name: &str, reports: &mut Vec<ServiceReport>| {
-        macro_rules! replay_policies {
-            ($engine:expr) => {{
-                let mut engine = $engine;
-                for &policy in &args.policies {
-                    let service = SearchService::new(engine, service_config);
-                    let mut service = match policy {
-                        Policy::Fixed => service,
-                        Policy::Adaptive => service.with_policy(Box::new(
-                            SloController::for_slo(slo_s),
-                        )),
-                    };
-                    reports.push(service.replay(&stream, options_of));
-                    engine = service.into_engine();
-                }
-                let _ = engine;
-            }};
-        }
-        match engine_name {
-            "cpu" => replay_policies!(CpuFaissEngine::new(&index).with_work_scale(work_scale)),
-            "gpu" => replay_policies!(GpuFaissEngine::new(&index).with_work_scale(work_scale)),
-            "pim-naive" => replay_policies!(build_pim(&index, UpAnnsConfig::pim_naive(), DPUS, work_scale, &history)),
-            "upanns" => replay_policies!(build_pim(&index, UpAnnsConfig::upanns(), DPUS, work_scale, &history)),
-            "multihost" => replay_policies!(build_multihost(work_scale)),
-            // parse_args rejects anything outside KNOWN_ENGINES and the
-            // caller iterates exactly that list.
-            other => unreachable!("engine '{other}' escaped --engines validation"),
-        }
-    };
-    for name in KNOWN_ENGINES {
-        if args.engines.iter().any(|e| e == name) {
-            eprintln!("replaying {name} ...");
-            run(name, &mut reports);
+/// Prints a markdown table header for `|`-separated column names.
+fn table_header(columns: &str) {
+    println!("| {columns} |");
+    println!("|{}", "---|".repeat(columns.split(" | ").count()));
+}
+
+/// The threaded sweep: every scenario at every worker count, printed as a
+/// table and written as `upanns-runtime-bench-v3`. The wall-clock numbers
+/// are machine-dependent; [`pipeline`] asserts conservation per row.
+fn threaded(fx: &Fixture, list: &[Scenario]) {
+    let mut rows: Vec<(&Scenario, RuntimeReport)> = Vec::new();
+    for &workers in &fx.args.workers {
+        for s in list {
+            // Fault schedules and epoch visibility live on the simulated
+            // clock, so failover and live rows run in logical mode.
+            let logical = s.workload == "failover" || s.live.is_some();
+            rows.push((s, pipeline(fx, s, workers, logical)));
         }
     }
-
-    // The multi-tenant scenario: several tenants share one UpANNS engine,
-    // under the fixed global window, one global SloController (targeting the
-    // tightest SLO in the mix — the only honest choice for a tenant-blind
-    // controller), the per-tenant ControllerBank with whole-batch dispatch
-    // (window-level isolation only), and the same bank under priority-
-    // chunked engine dispatch (the head-of-line fix).
-    let mut multi_reports: Vec<ServiceReport> = Vec::new();
-    if args.engines.iter().any(|e| e == "upanns") {
-        let tenant_mix = parse_tenants(&args.tenants);
-        let tstream = tenant_mix.generate(&dataset);
-        eprintln!(
-            "replaying multi-tenant scenario on upanns ({} tenants, {} queries) ...",
-            tstream.tenant_profiles.len(),
-            tstream.len()
-        );
-        let tightest_slo = tstream.slo_p99_s.unwrap_or(slo_s);
-        let mut scenario_policies: Vec<(&str, Option<usize>)> = Vec::new();
-        if args.policies.contains(&Policy::Fixed) {
-            scenario_policies.push(("fixed", None));
-        }
-        if args.policies.contains(&Policy::Adaptive) {
-            scenario_policies.push(("adaptive-slo", None));
-            scenario_policies.push(("adaptive-tenant", None));
-            scenario_policies.push(("adaptive-tenant", Some(args.max_chunk)));
-        }
-        let mut engine = build_pim(&index, UpAnnsConfig::upanns(), DPUS, work_scale, &history);
-        for (policy, max_chunk) in scenario_policies {
-            let config = ServiceConfig {
-                max_chunk,
-                ..service_config
-            };
-            let service = SearchService::new(engine, config);
-            let mut service = match policy {
-                "fixed" => service,
-                "adaptive-slo" => {
-                    service.with_policy(Box::new(SloController::for_slo(tightest_slo)))
-                }
-                "adaptive-tenant" => service.with_policy(Box::new(ControllerBank::for_profiles(
-                    &tstream.tenant_profiles,
-                    fixed_batcher,
-                ))),
-                other => unreachable!("scenario policy '{other}'"),
-            };
-            multi_reports.push(service.replay_planned(&tstream));
-            engine = service.into_engine();
-        }
-    }
-
-    // The kill-a-host failover scenario: the replicated deployment serves
-    // its own stream under the outage schedule, with hedged retries and the
-    // capacity-model autoscaler in the loop; the recovery envelope is the
-    // committed deliverable CI asserts on.
-    let mut failover_reports: Vec<(ServiceReport, Option<RecoveryEnvelope>)> = Vec::new();
-    if failover_on {
-        eprintln!(
-            "replaying failover scenario ({FAILOVER_SHARDS} shards on {FAILOVER_HOSTS} hosts, \
-             r={}, fault {:?}, hedge {} ms, {} queries at {} qps) ...",
-            args.replicas,
-            args.fault,
-            args.hedge_ms,
-            failover_stream.len(),
-            FAILOVER_QPS
-        );
-        let scaler = Autoscaler::new(
-            CapacityModel::fit(&CAPACITY_SAMPLES),
-            FAILOVER_QPS,
-            FAILOVER_HOSTS,
-            // Never below the committed shape (scale-downs would change the
-            // healthy baseline), two hosts of elastic headroom above it.
-            FAILOVER_HOSTS,
-            FAILOVER_HOSTS + 2,
-        );
-        let failover_config = ServiceConfig {
-            max_chunk: Some(FAILOVER_MAX_CHUNK),
-            ..service_config
-        };
-        let mut service = SearchService::new(build_failover(work_scale), failover_config)
-            .with_policy(Box::new(SloController::for_slo(FAILOVER_SLO_MS / 1e3)))
-            .with_autoscaler(scaler);
-        let report = service.replay(&failover_stream, options_of);
-        let t_down = faults
-            .events()
-            .iter()
-            .map(|e| e.down_at)
-            .fold(f64::INFINITY, f64::min);
-        let envelope = RecoveryEnvelope::from_outcomes(
-            &report.outcomes,
-            FAILOVER_SLO_MS / 1e3,
-            t_down,
-            ENVELOPE_BUCKET_S,
-        );
-        failover_reports.push((report, envelope));
-    }
-
-    // The live-mutation scenario: the single-tenant stream served against
-    // the mutating index, then the tenant-corpus-grows-mid-stream variant
-    // on the multi-tenant mix. Each row is audited after the fact — the
-    // served answers are re-executed at their own arrivals (zero tolerance
-    // for stale answers), p99 splits by compaction-window membership, and
-    // recall is scored against the exact up-to-the-second corpus.
-    let mut live_reports: Vec<(&'static str, ServiceReport, LiveSummary)> = Vec::new();
-    if live_on {
-        let plan = live_plan.as_ref().expect("live_on implies a plan");
-        let events = live_events.as_ref().expect("live_on implies events");
-        eprintln!(
-            "replaying live-mutation scenario on upanns ({} events, {} epochs, \
-             {} compaction(s)) ...",
-            events.len(),
-            plan.final_epoch,
-            plan.compactions.len()
-        );
-        // Like the failover scenario, the live rows always run under the
-        // adaptive policy: the fixed window collapses the UpANNS engine at
-        // this offered load, and a collapsed row's p99 split would measure
-        // queueing, not compaction.
-        let (service, accepted) = SearchService::new(
-            build_pim(&index, UpAnnsConfig::upanns(), DPUS, work_scale, &history),
-            service_config,
-        )
-        .with_live_index(&plan.timeline);
-        assert!(accepted, "the upanns engine accepts snapshot timelines");
-        let mut service = service.with_policy(Box::new(SloController::for_slo(slo_s)));
-        let report = service.replay(&stream, options_of);
-        let mut oracle = service.into_engine();
-        let summary =
-            live_summary(&report, &mut oracle, &index, &stream, options_of, events, plan);
-        assert_eq!(
-            summary.stale_served, 0,
-            "live-mutation replay served answers that differ from their arrival snapshot"
-        );
-        live_reports.push(("live-mutation", report, summary));
-
-        // The growth variant: the last tenant in the mix (the bulk tenant in
-        // the committed default) grows its corpus mid-stream, upserts only.
-        let tenant_mix = parse_tenants(&args.tenants);
-        let tstream = tenant_mix.generate(&dataset);
-        let growth_tenant = TenantId(tenant_mix.tenants.len() as u32);
-        let growth_events = MutationSpec::new(tstream.duration())
-            .with_tenant(growth_tenant, LIVE_GROWTH_UPSERT_QPS, 0.0)
-            .with_seed(live_args.expect("gated on live_on").seed ^ 0x9E37_79B9)
-            .generate(&dataset, index.ntotal());
-        let growth_plan = plan_live_index(
-            &index,
-            &growth_events,
-            LIVE_REFRESH_S,
-            &bench_compaction_policy(),
-        );
-        eprintln!(
-            "replaying live-growth scenario (tenant {growth_tenant} grows at \
-             {LIVE_GROWTH_UPSERT_QPS} upserts/s: {} events, {} epochs, {} compaction(s)) ...",
-            growth_events.len(),
-            growth_plan.final_epoch,
-            growth_plan.compactions.len()
-        );
-        let (service, accepted) = SearchService::new(
-            build_pim(&index, UpAnnsConfig::upanns(), DPUS, work_scale, &history),
-            service_config,
-        )
-        .with_live_index(&growth_plan.timeline);
-        assert!(accepted, "the upanns engine accepts snapshot timelines");
-        let tightest = tstream.slo_p99_s.unwrap_or(slo_s);
-        let mut service = service.with_policy(Box::new(SloController::for_slo(tightest)));
-        let report = service.replay_planned(&tstream);
-        let mut oracle = service.into_engine();
-        let summary = live_summary(
-            &report,
-            &mut oracle,
-            &index,
-            &tstream,
-            |i| planned_options(&tstream, i),
-            &growth_events,
-            &growth_plan,
-        );
-        assert_eq!(
-            summary.stale_served, 0,
-            "live-growth replay served answers that differ from their arrival snapshot"
-        );
-        live_reports.push(("live-growth", report, summary));
-    }
-
-    println!(
-        "| engine | policy | sustained QPS | p50 (ms) | p99 (ms) | SLO miss | completed | shed | batches | chunks | mean batch | final window (ms) |"
+    table_header(
+        "engine | workload | mode | workers | offered QPS | sustained QPS | p50 (ms) | p99 (ms) \
+         | completed | shed | lost | dup | cache hit",
     );
-    println!("|---|---|---|---|---|---|---|---|---|---|---|---|");
-    for r in &reports {
+    for (s, r) in &rows {
+        println!(
+            "| {} | {} | {} | {} | {:.1} | {:.1} | {:.3} | {:.3} | {} | {} | {} | {} | {:.0}% |",
+            r.engine, s.workload, r.mode, r.workers, s.offered_qps, r.sustained_qps(),
+            r.p50() * 1e3, r.p99() * 1e3, r.completed, r.shed, r.lost, r.duplicated,
+            r.cache_hit_rate() * 100.0,
+        );
+    }
+    let Some(path) = &fx.args.json else { return };
+    let rows = rows.iter().map(|(s, r)| {
+        // Non-finite (a run without makespan) writes as 0.
+        let emulated_utilization = r.busy_modeled_s / (r.makespan_s * r.workers as f64);
+        let tenants = r.tenants.iter().map(|t| {
+            obj!(Block;
+                "tenant" => t.name.as_str(), "slo_ms" => t.slo_p99_s.map(|s| s * 1e3),
+                "completed" => t.completed, "shed" => t.shed,
+                "p50_ms" => t.p50() * 1e3, "p99_ms" => t.p99() * 1e3,
+                "slo_miss_fraction" => t.slo_miss_fraction(), "meets_slo" => t.meets_slo(),
+            )
+        });
+        obj!(Block;
+            "engine" => r.engine.as_str(), "workload" => s.workload, "mode" => r.mode,
+            "policy" => r.policy.as_str(), "workers" => r.workers, "offered_qps" => s.offered_qps,
+            "num_queries" => s.stream.len(), "sustained_qps" => r.sustained_qps(),
+            "p50_ms" => r.p50() * 1e3, "p99_ms" => r.p99() * 1e3,
+            "mean_ms" => r.mean_latency() * 1e3,
+            "completed" => r.completed, "shed" => r.shed, "lost" => r.lost,
+            "duplicated" => r.duplicated, "degraded" => r.degraded, "hedged" => r.hedged,
+            "redispatched" => r.redispatched, "cache_hit_rate" => r.cache_hit_rate(),
+            "cache_invalidated" => r.cache_invalidated,
+            "dispatched_chunks" => r.dispatched_chunks, "busy_modeled_s" => r.busy_modeled_s,
+            "makespan_s" => r.makespan_s, "emulated_utilization" => emulated_utilization,
+            "tenants" => Json::Arr(Layout::Block, tenants.collect()),
+        )
+    });
+    write_record(fx, path, rows.collect());
+}
+
+/// One replay row of the serving record.
+struct ReplayRow {
+    workload: &'static str,
+    report: ServiceReport,
+    /// The recovery envelope (failover rows only).
+    envelope: Option<RecoveryEnvelope>,
+    /// The live-index audit (live rows only).
+    live: Option<LiveSummary>,
+}
+
+impl ReplayRow {
+    fn json(&self) -> Json {
+        let r = &self.report;
+        let tenants = r.tenants.iter().map(|t| {
+            obj!(Block;
+                "tenant" => t.name.as_str(), "weight" => t.weight,
+                "slo_ms" => t.slo_p99_s.map(|s| s * 1e3),
+                "completed" => t.completed, "shed" => t.shed,
+                "p50_ms" => t.p50() * 1e3, "p99_ms" => t.p99() * 1e3,
+                "slo_miss_fraction" => t.slo_miss_fraction(), "meets_slo" => t.meets_slo(),
+                "final_max_batch" => t.final_batcher.max_batch,
+                "final_max_delay_ms" => t.final_batcher.max_delay_s * 1e3,
+            )
+        });
+        // `recovery_s` is null when attainment never recovered inside the
+        // observed timeline.
+        let envelope = self.envelope.as_ref().map(|e| {
+            obj!(Inline;
+                "bucket_s" => e.bucket_s, "t_down" => e.t_down,
+                "baseline_attainment" => e.baseline_attainment, "max_dip" => e.max_dip,
+                "dip_at" => e.dip_at, "recovery_s" => e.recovery_s.is_finite().then_some(e.recovery_s),
+                "recovered" => e.recovered,
+            )
+        });
+        let live = self.live.as_ref().map(|s| {
+            let buckets = s.buckets.iter().map(|&(lag, queries, mean_recall)| {
+                obj!(Inline; "lag" => lag, "queries" => queries, "mean_recall" => mean_recall)
+            });
+            obj!(Inline;
+                "final_epoch" => s.final_epoch, "snapshots" => s.snapshots,
+                "compactions" => s.compactions, "mutation_events" => s.mutation_events,
+                "stale_served" => s.stale_served, "answered_in_window" => s.answered_in_window,
+                "p99_steady_ms" => s.p99_steady_ms, "p99_compaction_ms" => s.p99_compaction_ms,
+                "recall_vs_staleness" => Json::Arr(Layout::Inline, buckets.collect()),
+            )
+        });
+        obj!(Block;
+            "name" => r.engine.as_str(), "workload" => self.workload, "policy" => r.policy.as_str(),
+            "sustained_qps" => r.sustained_qps(), "p50_ms" => r.p50() * 1e3,
+            "p99_ms" => r.p99() * 1e3, "mean_ms" => r.mean_latency() * 1e3,
+            "slo_miss_fraction" => r.slo_miss_fraction(), "meets_slo" => r.meets_slo(),
+            "all_tenants_meet_slo" => r.all_tenants_meet_slo(),
+            "completed" => r.completed, "shed" => r.shed,
+            "cache_hit_rate" => r.cache_hit_rate(), "cache_invalidated" => r.cache_invalidated,
+            "batches" => r.batches(), "mean_batch_size" => r.mean_batch_size(),
+            "dispatched_chunks" => r.dispatched_chunks, "mean_chunk_size" => r.mean_chunk_size(),
+            "final_max_batch" => r.final_batcher.max_batch,
+            "final_max_delay_ms" => r.final_batcher.max_delay_s * 1e3,
+            "controller_adjustments" => r.controller_adjustments,
+            "engine_busy_s" => r.engine_busy_s,
+            "degraded" => r.degraded, "hedged" => r.hedged, "redispatched" => r.redispatched,
+            "scale_events" => r.scale_events, "migration_s" => r.migration_s,
+            "envelope" => envelope, "live" => live,
+            "tenants" => Json::Arr(Layout::Block, tenants.collect()),
+        )
+    }
+}
+
+/// The replay report: every scenario's row, the failover row's recovery
+/// envelope and the live rows' audits, printed as tables and written as
+/// `upanns-serving-bench-v6`.
+fn report(fx: &Fixture, list: &[Scenario]) {
+    let args = fx.args;
+    let mut engine = None;
+    let mut rows = Vec::new();
+    for s in list {
+        let (report, mut used) = replay(fx, s, engine.take());
+        let envelope = match s.workload {
+            "failover" => {
+                let t_down = fx.faults.events().iter().map(|e| e.down_at).fold(f64::INFINITY, f64::min);
+                let slo_s = FAILOVER_SLO_MS / 1e3;
+                RecoveryEnvelope::from_outcomes(&report.outcomes, slo_s, t_down, ENVELOPE_BUCKET_S)
+            }
+            _ => None,
+        };
+        let live = s.live.map(|live| {
+            let summary = live_summary(&report, &mut used, &fx.index, s, live);
+            assert_eq!(
+                summary.stale_served, 0,
+                "{} replay served answers that differ from their arrival snapshot",
+                s.workload
+            );
+            summary
+        });
+        engine = Some(used);
+        rows.push(ReplayRow { workload: s.workload, report, envelope, live });
+    }
+    let of = |workload: &'static str| rows.iter().filter(move |r| r.workload == workload);
+
+    table_header(
+        "engine | policy | sustained QPS | p50 (ms) | p99 (ms) | SLO miss | completed | shed \
+         | batches | chunks | mean batch | final window (ms)",
+    );
+    for ReplayRow { report: r, .. } in of("single") {
         println!(
             "| {} | {} | {:.1} | {:.3} | {:.3} | {:.1}% | {} | {} | {} | {} | {:.1} | {:.1} |",
-            r.engine,
-            r.policy,
-            r.sustained_qps(),
-            r.p50() * 1e3,
-            r.p99() * 1e3,
-            r.slo_miss_fraction() * 100.0,
-            r.completed,
-            r.shed,
-            r.batches(),
-            r.dispatched_chunks,
-            r.mean_batch_size(),
-            r.final_batcher.max_delay_s * 1e3,
+            r.engine, r.policy, r.sustained_qps(), r.p50() * 1e3, r.p99() * 1e3,
+            r.slo_miss_fraction() * 100.0, r.completed, r.shed, r.batches(),
+            r.dispatched_chunks, r.mean_batch_size(), r.final_batcher.max_delay_s * 1e3,
         );
     }
 
-    if !multi_reports.is_empty() {
-        println!();
-        println!("Multi-tenant scenario (upanns): {}", args.tenants);
-        println!(
-            "| policy | tenant | weight | SLO (ms) | completed | shed | p50 (ms) | p99 (ms) | SLO miss | meets | final window (ms) |"
+    if of("multi").next().is_some() {
+        println!("\nMulti-tenant scenario (upanns): {}", fx.tenants);
+        table_header(
+            "policy | tenant | weight | SLO (ms) | completed | shed | p50 (ms) | p99 (ms) \
+             | SLO miss | meets | final window (ms)",
         );
-        println!("|---|---|---|---|---|---|---|---|---|---|---|");
-        for r in &multi_reports {
+        for ReplayRow { report: r, .. } in of("multi") {
             for t in &r.tenants {
                 println!(
                     "| {} | {} | {} | {} | {} | {} | {:.3} | {:.3} | {:.1}% | {} | {:.1} |",
-                    r.policy,
-                    t.name,
-                    t.weight,
+                    r.policy, t.name, t.weight,
                     t.slo_p99_s.map_or_else(|| "-".to_string(), |s| format!("{:.0}", s * 1e3)),
-                    t.completed,
-                    t.shed,
-                    t.p50() * 1e3,
-                    t.p99() * 1e3,
-                    t.slo_miss_fraction() * 100.0,
-                    if t.meets_slo() { "yes" } else { "NO" },
+                    t.completed, t.shed, t.p50() * 1e3, t.p99() * 1e3,
+                    t.slo_miss_fraction() * 100.0, if t.meets_slo() { "yes" } else { "NO" },
                     t.final_batcher.max_delay_s * 1e3,
                 );
             }
         }
     }
 
-    if !failover_reports.is_empty() {
-        println!();
+    if of("failover").next().is_some() {
         println!(
-            "Failover scenario: {FAILOVER_SHARDS} shards / {FAILOVER_HOSTS} hosts, r={}, \
+            "\nFailover scenario: {FAILOVER_SHARDS} shards / {FAILOVER_HOSTS} hosts, r={}, \
              fault {}, hedge {} ms",
             args.replicas, args.fault, args.hedge_ms
         );
-        println!(
-            "| policy | sustained QPS | p99 (ms) | SLO miss | degraded | hedged | redisp | scale events | migration (s) | baseline | max dip | recovery (s) |"
+        table_header(
+            "policy | sustained QPS | p99 (ms) | SLO miss | degraded | hedged | redisp \
+             | scale events | migration (s) | baseline | max dip | recovery (s)",
         );
-        println!("|---|---|---|---|---|---|---|---|---|---|---|---|");
-        for (r, env) in &failover_reports {
-            let (baseline, dip, recovery) = env.as_ref().map_or_else(
-                || ("-".to_string(), "-".to_string(), "-".to_string()),
+        for ReplayRow { report: r, envelope, .. } in of("failover") {
+            let envelope = envelope.as_ref().map_or_else(
+                || "- | - | -".to_string(),
                 |e| {
-                    (
-                        format!("{:.3}", e.baseline_attainment),
-                        format!("{:.3}", e.max_dip),
-                        if e.recovered {
-                            format!("{:.1}", e.recovery_s)
-                        } else {
-                            "never".to_string()
-                        },
-                    )
+                    let recovery = if e.recovered {
+                        format!("{:.1}", e.recovery_s)
+                    } else {
+                        "never".to_string()
+                    };
+                    format!("{:.3} | {:.3} | {recovery}", e.baseline_attainment, e.max_dip)
                 },
             );
             println!(
-                "| {} | {:.1} | {:.3} | {:.1}% | {} | {} | {} | {} | {:.3} | {} | {} | {} |",
-                r.policy,
-                r.sustained_qps(),
-                r.p99() * 1e3,
-                r.slo_miss_fraction() * 100.0,
-                r.degraded,
-                r.hedged,
-                r.redispatched,
-                r.scale_events,
-                r.migration_s,
-                baseline,
-                dip,
-                recovery,
+                "| {} | {:.1} | {:.3} | {:.1}% | {} | {} | {} | {} | {:.3} | {envelope} |",
+                r.policy, r.sustained_qps(), r.p99() * 1e3, r.slo_miss_fraction() * 100.0,
+                r.degraded, r.hedged, r.redispatched, r.scale_events, r.migration_s,
             );
         }
     }
 
-    if !live_reports.is_empty() {
-        println!();
+    if rows.iter().any(|r| r.live.is_some()) {
         println!(
-            "Live-mutation scenario (upanns): {} (snapshot refresh every {} s)",
+            "\nLive-mutation scenario (upanns): {} (snapshot refresh every {} s)",
             args.mutations, LIVE_REFRESH_S
         );
-        println!(
-            "| workload | events | epochs | compactions | invalidated | stale | in-window | p99 steady (ms) | p99 compaction (ms) | recall lag=0 | lag=1-10 | lag=11-100 | lag=101+ |"
+        table_header(
+            "workload | events | epochs | compactions | invalidated | stale | in-window \
+             | p99 steady (ms) | p99 compaction (ms) | recall lag=0 | lag=1-10 | lag=11-100 | lag=101+",
         );
-        println!("|---|---|---|---|---|---|---|---|---|---|---|---|---|");
-        for (workload, r, s) in &live_reports {
+        for row in &rows {
+            let Some(s) = &row.live else { continue };
             let recalls: Vec<String> = s
                 .buckets
                 .iter()
-                .map(|b| {
-                    if b.queries == 0 {
-                        "-".to_string()
-                    } else {
-                        format!("{:.3} ({})", b.mean_recall, b.queries)
-                    }
+                .map(|&(_, queries, recall)| match queries {
+                    0 => "-".to_string(),
+                    n => format!("{recall:.3} ({n})"),
                 })
                 .collect();
             println!(
-                "| {} | {} | {} | {} | {} | {} | {} | {:.3} | {:.3} | {} | {} | {} | {} |",
-                workload,
-                s.mutation_events,
-                s.final_epoch,
-                s.compactions,
-                r.cache_invalidated,
-                s.stale_served,
-                s.answered_in_window,
-                s.p99_steady_ms,
-                s.p99_compaction_ms,
-                recalls[0],
-                recalls[1],
-                recalls[2],
-                recalls[3],
+                "| {} | {} | {} | {} | {} | {} | {} | {:.3} | {:.3} | {} |",
+                row.workload, s.mutation_events, s.final_epoch, s.compactions,
+                row.report.cache_invalidated, s.stale_served, s.answered_in_window,
+                s.p99_steady_ms, s.p99_compaction_ms, recalls.join(" | "),
             );
         }
     }
 
-    if let Some(path) = args.json {
-        let engines: Vec<String> = reports
-            .iter()
-            .map(|r| report_json(r, "single", None, None))
-            .chain(multi_reports.iter().map(|r| report_json(r, "multi", None, None)))
-            .chain(
-                failover_reports
-                    .iter()
-                    .map(|(r, env)| report_json(r, "failover", env.as_ref(), None)),
-            )
-            .chain(
-                live_reports
-                    .iter()
-                    .map(|(workload, r, s)| report_json(r, workload, None, Some(s))),
-            )
-            .collect();
-        let json = format!(
-            concat!(
-                "{{\n",
-                "  \"schema\": \"upanns-serving-bench-v6\",\n",
-                "  \"config\": {{\n",
-                "    \"dataset_n\": {},\n",
-                "    \"nlist\": {},\n",
-                "    \"dpus\": {},\n",
-                "    \"work_scale\": {},\n",
-                "    \"num_queries\": {},\n",
-                "    \"offered_qps\": {},\n",
-                "    \"repeat_fraction\": {},\n",
-                "    \"slo_p99_ms\": {},\n",
-                "    \"hosts\": {},\n",
-                "    \"max_chunk\": {},\n",
-                "    \"queue_capacity\": {},\n",
-                "    \"fixed_max_batch\": {},\n",
-                "    \"fixed_max_delay_ms\": {},\n",
-                "    \"cache_capacity\": {},\n",
-                "    \"replicas\": {},\n",
-                "    \"fault\": \"{}\",\n",
-                "    \"hedge_ms\": {},\n",
-                "    \"mutations\": \"{}\",\n",
-                "    \"live_refresh_s\": {},\n",
-                "    \"tenants\": \"{}\"\n",
-                "  }},\n",
-                "  \"engines\": [\n{}\n  ]\n",
-                "}}\n"
-            ),
-            DATASET_N,
-            NLIST,
-            DPUS,
-            json_num(work_scale),
-            args.queries,
-            json_num(args.qps),
-            json_num(args.repeat),
-            json_num(args.slo_ms),
-            args.hosts,
-            args.max_chunk,
-            service_config.queue_capacity,
-            fixed_batcher.max_batch,
-            json_num(fixed_batcher.max_delay_s * 1e3),
-            service_config.cache_capacity,
-            args.replicas,
-            args.fault,
-            json_num(args.hedge_ms),
-            args.mutations,
-            json_num(LIVE_REFRESH_S),
-            args.tenants,
-            engines.join(",\n"),
-        );
-        std::fs::write(&path, json).expect("write JSON baseline");
-        eprintln!("wrote {path}");
+    if let Some(path) = &args.json {
+        write_record(fx, path, rows.iter().map(ReplayRow::json).collect());
+    }
+}
+
+fn main() {
+    let args = parse_args();
+    assert!(args.slo_ms > 0.0, "--slo-ms must be positive");
+    let mode = match (args.runtime, &args.answers) {
+        (RuntimeKind::Threaded, _) => Mode::Threaded,
+        (RuntimeKind::Twin, _) | (RuntimeKind::Replay, Some(_)) => Mode::Answers,
+        (RuntimeKind::Replay, None) => Mode::Report,
+    };
+    eprintln!(
+        "building fixture: n={DATASET_N}, nlist={NLIST}, dpus={DPUS}, \
+         stream of {} queries at {} qps (repeat fraction {}, p99 SLO {} ms)",
+        args.queries, args.qps, args.repeat, args.slo_ms
+    );
+    let fx = Fixture::build(&args, mode);
+    let list = scenarios(&fx);
+    match mode {
+        Mode::Report => report(&fx, &list),
+        Mode::Answers => answer_map(&fx, &list),
+        Mode::Threaded => threaded(&fx, &list),
     }
 }

@@ -11,31 +11,7 @@
 
 use annkit::topk::Neighbor;
 use baselines::engine::TenantId;
-
-/// Nearest-rank percentile over an ascending-sorted latency list (0 when
-/// empty) — the same convention as the replay's reports.
-fn percentile_of(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = (p.clamp(0.0, 100.0) / 100.0 * (sorted.len() - 1) as f64).round();
-    sorted[rank as usize]
-}
-
-/// Shed-aware SLO miss fraction (see
-/// [`ServiceReport::slo_miss_fraction`](upanns_serve::ServiceReport::slo_miss_fraction)
-/// for the rationale: a shed query is the worst possible latency).
-fn miss_fraction_of(sorted: &[f64], completed: usize, shed: usize, slo: Option<f64>) -> f64 {
-    let offered = completed + shed;
-    if offered == 0 {
-        return 0.0;
-    }
-    let late = match slo {
-        Some(slo) => sorted.iter().filter(|&&l| l > slo).count(),
-        None => 0,
-    };
-    (late + shed) as f64 / offered as f64
-}
+use upanns_serve::{miss_fraction_of, percentile_of};
 
 /// One tenant's slice of a [`RuntimeReport`].
 #[derive(Debug, Clone)]
@@ -56,7 +32,7 @@ pub struct RuntimeTenantRow {
 }
 
 impl RuntimeTenantRow {
-    /// The `p`-th latency percentile in seconds (nearest rank).
+    /// The `p`-th latency percentile in seconds (see [`percentile_of`]).
     pub fn percentile(&self, p: f64) -> f64 {
         percentile_of(&self.latencies_s, p)
     }
@@ -154,7 +130,7 @@ impl RuntimeReport {
         }
     }
 
-    /// The `p`-th latency percentile in seconds (nearest rank).
+    /// The `p`-th latency percentile in seconds (see [`percentile_of`]).
     pub fn percentile(&self, p: f64) -> f64 {
         percentile_of(&self.latencies_s, p)
     }

@@ -19,10 +19,10 @@ use annkit::ivf::{IvfPqIndex, IvfPqParams};
 use annkit::synthetic::{SyntheticDataset, SyntheticSpec};
 use annkit::topk::Neighbor;
 use annkit::workload::{
-    MultiTenantSpec, MutationSpec, QueryStream, StreamSpec, TenantId, TenantSpec, WorkloadSpec,
+    MultiTenantSpec, MutationSpec, StreamSpec, TenantId, TenantSpec, WorkloadSpec,
 };
 use baselines::cpu::CpuFaissEngine;
-use baselines::engine::{AnnEngine, QueryOptions};
+use baselines::engine::AnnEngine;
 use baselines::gpu::GpuFaissEngine;
 use pim_sim::config::PimConfig;
 use proptest::prelude::*;
@@ -34,7 +34,7 @@ use upanns::multihost::{shard_ranges, InterconnectModel};
 use upanns::replica::{FaultEvent, FaultSchedule, ReplicatedMultiHost};
 use upanns_runtime::{run_pipeline, RuntimeConfig};
 use upanns_serve::service::ServiceConfig;
-use upanns_serve::{FixedPolicy, SearchService};
+use upanns_serve::{planned_options, FixedPolicy, SearchService};
 
 /// One shared small fixture: index training dominates the test's cost, so
 /// every proptest case reuses it (the *stream* varies per case, the corpus
@@ -84,17 +84,6 @@ fn build_upanns(index: &IvfPqIndex, data: &SyntheticDataset) -> UpAnnsEngine {
             max_k: 20,
         })
         .build()
-}
-
-/// The per-query options both sides resolve identically: the stream's
-/// planned (k, nprobe) tier when one exists, tagged with the query's tenant.
-fn planned(stream: &QueryStream, i: usize) -> QueryOptions {
-    let (k, nprobe) = stream
-        .option_plan
-        .get(i)
-        .copied()
-        .unwrap_or_else(|| (QueryOptions::default().k, QueryOptions::default().nprobe));
-    QueryOptions::new(k, nprobe).with_tenant(stream.tenant(i))
 }
 
 /// Projects per-query results down to the id map the contract is stated
@@ -170,13 +159,13 @@ proptest! {
             ($build:expr) => {{
                 let replay_results = {
                     let mut service = SearchService::new($build, config);
-                    service.replay(&stream, |i| planned(&stream, i)).results
+                    service.replay(&stream, |i| planned_options(&stream, i)).results
                 };
                 let engines: Vec<_> = (0..workers).map(|_| $build).collect();
                 let report = run_pipeline(
                     engines,
                     &stream,
-                    |i| planned(&stream, i),
+                    |i| planned_options(&stream, i),
                     Box::new(FixedPolicy(config.batcher)),
                     RuntimeConfig::logical(config),
                 );
@@ -253,7 +242,7 @@ proptest! {
                     let (mut service, accepted) =
                         SearchService::new($build, config).with_live_index(&plan.timeline);
                     prop_assert!(accepted, "single-index engines accept timelines");
-                    service.replay(&stream, |i| planned(&stream, i))
+                    service.replay(&stream, |i| planned_options(&stream, i))
                 };
                 let engines: Vec<_> = (0..workers)
                     .map(|_| {
@@ -265,7 +254,7 @@ proptest! {
                 let report = run_pipeline(
                     engines,
                     &stream,
-                    |i| planned(&stream, i),
+                    |i| planned_options(&stream, i),
                     Box::new(FixedPolicy(config.batcher)),
                     RuntimeConfig::logical(config)
                         .with_epoch_schedule(plan.timeline.epoch_schedule()),
@@ -358,12 +347,12 @@ proptest! {
 
         let replay_results = {
             let mut service = SearchService::new(build(), config);
-            service.replay(&stream, |i| planned(&stream, i)).results
+            service.replay(&stream, |i| planned_options(&stream, i)).results
         };
         let report = run_pipeline(
             (0..workers).map(|_| build()).collect(),
             &stream,
-            |i| planned(&stream, i),
+            |i| planned_options(&stream, i),
             Box::new(FixedPolicy(config.batcher)),
             RuntimeConfig::logical(config),
         );

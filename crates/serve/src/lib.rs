@@ -139,4 +139,7 @@ pub mod prelude {
 pub use autoscale::{Autoscaler, CapacityModel};
 pub use controller::{BatchPolicy, ControllerBank, FixedPolicy, SloController, SloControllerConfig};
 pub use envelope::RecoveryEnvelope;
-pub use service::{SearchService, ServiceConfig, ServiceReport, SloTable, TenantReport};
+pub use service::{
+    miss_fraction_of, percentile_of, planned_options, SearchService, ServiceConfig, ServiceReport,
+    SloTable, TenantReport,
+};

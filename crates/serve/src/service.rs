@@ -24,9 +24,10 @@ use annkit::topk::Neighbor;
 use annkit::workload::QueryStream;
 use baselines::engine::{AnnEngine, QueryOptions, SearchRequest, TenantId};
 
-/// Nearest-rank percentile over an ascending-sorted latency list (0 when
-/// empty) — shared by the aggregate and per-tenant report rows.
-fn percentile_of(sorted: &[f64], p: f64) -> f64 {
+/// The `p`-th percentile of an ascending-sorted latency list: the element at
+/// rank `round(p/100 · (n − 1))`, so p0 is the minimum and p100 the maximum
+/// (0 when empty). Shared by every replay and runtime report row.
+pub fn percentile_of(sorted: &[f64], p: f64) -> f64 {
     if sorted.is_empty() {
         return 0.0;
     }
@@ -36,7 +37,7 @@ fn percentile_of(sorted: &[f64], p: f64) -> f64 {
 
 /// Shed-aware SLO miss fraction: completed queries over the target plus
 /// every shed query, over the offered total (0 when nothing was offered).
-fn miss_fraction_of(sorted: &[f64], completed: usize, shed: usize, slo: Option<f64>) -> f64 {
+pub fn miss_fraction_of(sorted: &[f64], completed: usize, shed: usize, slo: Option<f64>) -> f64 {
     let offered = completed + shed;
     if offered == 0 {
         return 0.0;
@@ -46,6 +47,17 @@ fn miss_fraction_of(sorted: &[f64], completed: usize, shed: usize, slo: Option<f
         None => 0,
     };
     (late + shed) as f64 / offered as f64
+}
+
+/// The options a stream plans for query `i`: its tenant's `(k, nprobe)`
+/// tier ([`option_plan`](QueryStream::option_plan)), or the default options
+/// without a plan entry, tagged with its tenant
+/// ([`tenant_of`](QueryStream::tenant_of)). The replay and the threaded
+/// runtime resolve every multi-tenant query through it.
+pub fn planned_options(stream: &QueryStream, i: usize) -> QueryOptions {
+    let default = QueryOptions::default();
+    let (k, nprobe) = stream.option_plan.get(i).copied().unwrap_or((default.k, default.nprobe));
+    QueryOptions::new(k, nprobe).with_tenant(stream.tenant(i))
 }
 
 /// Configuration of a [`SearchService`].
@@ -127,7 +139,7 @@ pub struct TenantReport {
 }
 
 impl TenantReport {
-    /// The `p`-th latency percentile in seconds (nearest rank).
+    /// The `p`-th latency percentile in seconds (see [`percentile_of`]).
     pub fn percentile(&self, p: f64) -> f64 {
         percentile_of(&self.latencies_s, p)
     }
@@ -182,12 +194,9 @@ pub struct ServiceReport {
     pub cache_invalidated: u64,
     /// Formed batches submitted for dispatch, split by close reason.
     pub size_closed_batches: usize,
-    /// Batches closed by the waiting deadline.
+    /// Batches closed by the waiting deadline (trailing batches close at
+    /// their own deadlines on the replay clock, so the replay never flushes).
     pub deadline_closed_batches: usize,
-    /// Batches flushed at stream end. Always 0 since trailing batches
-    /// close at their own deadlines on the replay clock (kept for
-    /// record-schema stability and custom front-ends that still flush).
-    pub flushed_batches: usize,
     /// Chunks the dispatcher handed to the engine — equal to
     /// [`batches`](Self::batches) under whole-batch (close-order) dispatch,
     /// larger when [`ServiceConfig::max_chunk`] splits bulk batches.
@@ -234,8 +243,8 @@ impl ServiceReport {
         }
     }
 
-    /// The `p`-th latency percentile in seconds (nearest-rank on the sorted
-    /// latencies; 0 when nothing completed).
+    /// The `p`-th latency percentile in seconds (see [`percentile_of`]; 0
+    /// when nothing completed).
     pub fn percentile(&self, p: f64) -> f64 {
         percentile_of(&self.latencies_s, p)
     }
@@ -301,7 +310,7 @@ impl ServiceReport {
 
     /// Total batches the engine executed.
     pub fn batches(&self) -> usize {
-        self.size_closed_batches + self.deadline_closed_batches + self.flushed_batches
+        self.size_closed_batches + self.deadline_closed_batches
     }
 
     /// Mean queries per executed batch (0 without batches).
@@ -443,7 +452,6 @@ struct ReplayState<'s> {
     makespan_s: f64,
     size_closed: usize,
     deadline_closed: usize,
-    flushed: usize,
 }
 
 impl ReplayState<'_> {
@@ -469,8 +477,9 @@ impl ReplayState<'_> {
     ) {
         match batch.reason {
             CloseReason::Size => self.size_closed += 1,
-            CloseReason::Deadline => self.deadline_closed += 1,
-            CloseReason::Flush => self.flushed += 1,
+            // The replay never flushes; a flushed group closed at stream
+            // end is a deadline close as far as the counters go.
+            CloseReason::Deadline | CloseReason::Flush => self.deadline_closed += 1,
         }
         let tenant = batch.options.tenant;
         self.scheduler.submit(
@@ -808,7 +817,6 @@ impl<E: AnnEngine> SearchService<E> {
             makespan_s: 0.0,
             size_closed: 0,
             deadline_closed: 0,
-            flushed: 0,
         };
 
         let mut released_upto = 0usize;
@@ -946,7 +954,6 @@ impl<E: AnnEngine> SearchService<E> {
             makespan_s,
             size_closed,
             deadline_closed,
-            flushed,
             ..
         } = state;
         latencies.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
@@ -995,7 +1002,6 @@ impl<E: AnnEngine> SearchService<E> {
             cache_invalidated: cache.invalidated(),
             size_closed_batches: size_closed,
             deadline_closed_batches: deadline_closed,
-            flushed_batches: flushed,
             dispatched_chunks: scheduler.dispatched_chunks(),
             split_batches: scheduler.split_batches(),
             engine_busy_s: scheduler.busy_s(),
@@ -1019,20 +1025,10 @@ impl<E: AnnEngine> SearchService<E> {
     }
 
     /// [`replay`](Self::replay) driven entirely by the stream's own
-    /// annotations: each query runs under its tenant's `(k, nprobe)` plan
-    /// ([`option_plan`](QueryStream::option_plan)) tagged with its tenant
-    /// ([`tenant_of`](QueryStream::tenant_of)) — the natural entry point for
-    /// a [`MultiTenantSpec`](annkit::workload::MultiTenantSpec) stream.
-    /// Queries without a plan entry fall back to the default options.
+    /// annotations ([`planned_options`]) — the natural entry point for a
+    /// [`MultiTenantSpec`](annkit::workload::MultiTenantSpec) stream.
     pub fn replay_planned(&mut self, stream: &QueryStream) -> ServiceReport {
-        self.replay(stream, |i| {
-            let (k, nprobe) = stream
-                .option_plan
-                .get(i)
-                .copied()
-                .unwrap_or_else(|| (QueryOptions::default().k, QueryOptions::default().nprobe));
-            QueryOptions::new(k, nprobe).with_tenant(stream.tenant(i))
-        })
+        self.replay(stream, |i| planned_options(stream, i))
     }
 }
 
@@ -1209,7 +1205,6 @@ mod tests {
             cache_invalidated: 0,
             size_closed_batches: 0,
             deadline_closed_batches: 0,
-            flushed_batches: 0,
             dispatched_chunks: 0,
             split_batches: 0,
             engine_busy_s: 0.0,
@@ -1472,7 +1467,7 @@ mod tests {
         let report = service.replay_uniform(&stream, QueryOptions::new(10, 4));
         assert_eq!(report.completed, 1);
         assert_eq!(report.deadline_closed_batches, 1, "closed by its deadline");
-        assert_eq!(report.flushed_batches, 0, "nothing was flushed early");
+        assert_eq!(report.batches(), 1, "nothing was flushed early");
         let latency = report.latencies_s[0];
         assert!(
             latency >= window,

@@ -60,7 +60,7 @@ fn main() {
 
     println!("\n{:<12} {:>10} {:>12} {:>12} {:>10} {:>10}",
         "engine", "QPS", "ms/query", "QPS/Watt", "QPS/$", "recall@20");
-    let report = |name: &str, outcome: &baselines::engine::SearchOutcome, energy: &pim_sim::energy::EnergyModel| {
+    let report = |name: &str, outcome: &baselines::engine::SearchResponse, energy: &pim_sim::energy::EnergyModel| {
         let recall = recall_at_k(&outcome.results, &exact, k);
         println!(
             "{name:<12} {:>10.0} {:>12.3} {:>12.2} {:>10.3} {:>10.3}",

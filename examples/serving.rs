@@ -127,11 +127,10 @@ fn main() {
         report.mean_latency() * 1e3
     );
     println!(
-        "Batches:         {} total ({} size-closed, {} deadline-closed, {} flushed), {:.1} queries/batch",
+        "Batches:         {} total ({} size-closed, {} deadline-closed), {:.1} queries/batch",
         report.batches(),
         report.size_closed_batches,
         report.deadline_closed_batches,
-        report.flushed_batches,
         report.mean_batch_size()
     );
     println!(

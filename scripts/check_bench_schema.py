@@ -28,6 +28,19 @@ invariants a record must never violate to be worth committing:
   (the snapshot-consistency contract), a recall-vs-staleness curve with the
   four committed lag buckets, and only live rows carry one.
 
+Beyond the schema, each record must keep the contracts its committed
+scenarios exist to demonstrate (``check_serving_contracts`` and
+``check_runtime_contracts``):
+
+* the HOL scenario: priority-chunked dispatch meets every tenant's SLO, while
+  window-only isolation and every single-window policy fail one;
+* the kill-a-host scenario stays inside its recovery envelope and exercised
+  every fault-tolerance path;
+* the live-mutation rows hold the consistency contract and the
+  p99-during-compaction and recall-vs-staleness envelopes;
+* the runtime record carries a logical, conserving live-mutation row at every
+  worker count.
+
 Exit status 0 when every file validates; 1 with a per-file message
 otherwise. This replaces the old inline ``python3 -m json.tool`` CI calls,
 which only proved the files were JSON.
@@ -82,6 +95,12 @@ RUNTIME_TENANT_KEYS = {
     "tenant", "slo_ms", "completed", "shed", "p50_ms", "p99_ms",
     "slo_miss_fraction", "meets_slo",
 }
+
+# The multi-tenant policies of the committed HOL scenario.
+MULTI_POLICIES = {"fixed", "adaptive-slo", "adaptive-tenant", "adaptive-tenant-chunked"}
+
+# The failover knobs the serving config must record.
+FAILOVER_CONFIG_KEYS = ("replicas", "fault", "hedge_ms")
 
 
 class SchemaError(Exception):
@@ -146,6 +165,133 @@ def check_serving(doc):
     workloads = {r["workload"] for r in rows}
     require(workloads == set(SERVING_WORKLOADS),
             f"expected {sorted(SERVING_WORKLOADS)} rows, got {sorted(workloads)}")
+    check_serving_contracts(doc)
+
+
+def check_serving_contracts(doc):
+    check_hol_scenario(doc)
+    check_kill_a_host(doc)
+    check_live_contract(doc)
+
+
+def check_hol_scenario(doc):
+    """The committed HOL scenario separates chunked priority dispatch from
+    window-only isolation."""
+    multi = {r["policy"]: r for r in doc["engines"] if r["workload"] == "multi"}
+    require(set(multi) == MULTI_POLICIES, set(multi))
+    # Priority-chunked dispatch meets every tenant's SLO...
+    chunked = multi["adaptive-tenant-chunked"]
+    require(chunked["all_tenants_meet_slo"], chunked)
+    # ...and really chunked the bulk batches (more chunks than batches).
+    require(chunked["dispatched_chunks"] > chunked["batches"], chunked)
+    # Window-only per-tenant isolation (the adaptive-tenant row) still eats
+    # engine-level head-of-line blocking: the tight tenant misses.
+    window_only = multi["adaptive-tenant"]
+    require(not window_only["all_tenants_meet_slo"], window_only)
+    tight = next(t for t in window_only["tenants"] if t["tenant"] == "tight")
+    require(not tight["meets_slo"], tight)
+    # Every single-window policy fails at least one tenant too.
+    for name in ("fixed", "adaptive-slo"):
+        require(not multi[name]["all_tenants_meet_slo"], (name, multi[name]))
+    # Shed queries are charged as SLO misses, never silently dropped.
+    for row in multi.values():
+        for t in row["tenants"]:
+            if t["shed"] > 0 and t["slo_ms"] is not None:
+                require(t["slo_miss_fraction"]
+                        >= t["shed"] / (t["completed"] + t["shed"]) - 1e-9,
+                        (row["policy"], t))
+    print("HOL scenario: chunked priority dispatch meets both SLOs; "
+          "window-only isolation and global windows do not")
+
+
+def check_kill_a_host(doc):
+    """The committed kill-a-host scenario stays inside the recovery envelope."""
+    cfg = doc["config"]
+    # The scenario's knobs are part of the record: a change to the
+    # defaults must regenerate the record in the same PR.
+    for key in FAILOVER_CONFIG_KEYS:
+        require(key in cfg, f"config lacks {key!r}")
+    require(cfg["replicas"] >= 2, cfg)
+    rows = [r for r in doc["engines"] if r["workload"] == "failover"]
+    require(len(rows) == 1, [r["name"] for r in rows])
+    row = rows[0]
+    # Zero lost or duplicated answers: the replay conserves by
+    # construction, so completed must equal the offered stream and
+    # nothing may shed even while a host is down.
+    require(row["shed"] == 0, row)
+    require(row["completed"] > 0, row)
+    # Replication masked the outage: no query was answered from
+    # partial shard coverage.
+    require(row["degraded"] == 0, row)
+    # The run exercised every fault-tolerance path at least once.
+    require(row["hedged"] > 0, "hedged retries never fired")
+    require(row["redispatched"] > 0, "mid-flight redispatch never fired")
+    require(row["scale_events"] > 0, "the autoscaler never reacted")
+    require(row["migration_s"] > 0, "scaling out charged no transfer time")
+    env = row["envelope"]
+    # The CI-asserted recovery envelope: the outage must dent
+    # attainment (the scenario is tuned to saturate on host loss),
+    # the dip must stay bounded, and attainment must climb back
+    # within six buckets of the failure instant.
+    require(env["recovered"] is True, env)
+    require(env["baseline_attainment"] >= 0.99, env)
+    require(0.0 < env["max_dip"] <= 0.5, env)
+    require(env["recovery_s"] <= 30.0, env)
+    print(f"kill-a-host: dip {env['max_dip']:.3f} at t={env['dip_at']}, "
+          f"recovered in {env['recovery_s']}s; hedged {row['hedged']}, "
+          f"redispatched {row['redispatched']}, scale events {row['scale_events']}")
+
+
+def check_live_contract(doc):
+    """The committed live-mutation scenario holds the consistency contract
+    and its envelope."""
+    cfg = doc["config"]
+    # The mutation stream is part of the record: a change to the
+    # committed spec must regenerate the record in the same PR.
+    require(cfg["mutations"] != "none", cfg)
+    require(cfg["live_refresh_s"] > 0, cfg)
+    rows = {r["workload"]: r for r in doc["engines"]
+            if r["workload"].startswith("live")}
+    require(set(rows) == {"live-mutation", "live-growth"}, set(rows))
+    for name, row in rows.items():
+        live = row["live"]
+        # The consistency contract: zero answers served from a stale
+        # snapshot, ever (each answer re-executed at its own arrival).
+        require(live["stale_served"] == 0, (name, live))
+        # Mutations actually flowed and became visible mid-stream.
+        require(live["mutation_events"] > 0 and live["final_epoch"] > 0, (name, live))
+        require(live["snapshots"] >= 2, (name, live))
+        # Background compaction actually ran, and queries arrived
+        # while it was running — otherwise the p99-during-compaction
+        # column measures nothing.
+        require(live["compactions"] >= 1, (name, live))
+        require(live["answered_in_window"] > 0, (name, live))
+        # The p99-during-compaction envelope: mid-compaction arrivals
+        # pay the modeled stall but stay within 2x of steady state
+        # plus the stall itself — compaction must not collapse serving.
+        require(live["p99_compaction_ms"] <= 2.0 * live["p99_steady_ms"] + 10_000.0,
+                (name, live))
+        # The recall-vs-staleness curve: fresh snapshots answer
+        # exactly, and even the stalest bucket stays above 0.9 —
+        # bounded staleness, not unbounded drift.
+        curve = {b["lag"]: b for b in live["recall_vs_staleness"]}
+        require(curve["lag=0"]["mean_recall"] >= 0.999, (name, curve))
+        require(all(b["mean_recall"] >= 0.9 for b in curve.values()), (name, curve))
+        # The committed stream is busy enough to populate the deep
+        # staleness buckets (the curve's whole point).
+        require(curve["lag=11-100"]["queries"] > 0, (name, curve))
+    # Epoch invalidation fired on the committed single-tenant row:
+    # repeats straddling a refresh boundary recompute, never serve stale.
+    require(rows["live-mutation"]["cache_invalidated"] > 0, rows["live-mutation"])
+    # The growth row is the tenant-corpus-grows-mid-stream case: it
+    # rides the multi-tenant mix.
+    require(len(rows["live-growth"]["tenants"]) >= 2, rows["live-growth"])
+    lm = rows["live-mutation"]["live"]
+    print(f"live-mutation: {lm['mutation_events']} events, "
+          f"{lm['compactions']} compactions, stale_served=0, "
+          f"p99 steady {lm['p99_steady_ms']:.0f} ms vs "
+          f"compaction {lm['p99_compaction_ms']:.0f} ms; "
+          f"{rows['live-mutation']['cache_invalidated']} cache invalidations")
 
 
 def check_live(live, row, label):
@@ -256,6 +402,23 @@ def check_runtime(doc):
     worker_counts = {r["workers"] for r in rows}
     require(len(worker_counts) > 1,
             f"a one-worker-count sweep ({sorted(worker_counts)}) cannot show scaling")
+    check_runtime_contracts(doc)
+
+
+def check_runtime_contracts(doc):
+    """The runtime record carries logical live-mutation rows at every worker
+    count."""
+    live = [r for r in doc["rows"] if r["workload"] == "live-mutation"]
+    workers = sorted(r["workers"] for r in live)
+    require(workers == sorted(doc["config"]["workers"]), workers)
+    for r in live:
+        # Deterministic logical mode, full conservation, nothing shed:
+        # the threaded pipeline must not lose, duplicate, or drop
+        # queries while the index mutates under it.
+        require(r["mode"] == "logical", r)
+        require(r["lost"] == 0 and r["duplicated"] == 0 and r["shed"] == 0, r)
+        require(r["completed"] == r["num_queries"], r)
+    print(f"live-mutation runtime rows conserve at worker counts {workers}")
 
 
 CHECKERS = {
